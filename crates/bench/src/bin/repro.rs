@@ -28,9 +28,9 @@ use std::process::exit;
 use std::time::Instant;
 
 use mbb_bench::experiments::Sizes;
-use mbb_bench::json::Json;
 use mbb_bench::perfgate;
 use mbb_bench::runner::{self, Ctx, Job};
+use mbb_obs::json::Json;
 
 fn usage() -> ! {
     eprintln!(

@@ -5,7 +5,7 @@
 //! a simulator slowdown taxes every experiment at once, and nothing in the
 //! result tables would show it.  This module is the instrument that makes
 //! such a slowdown a CI failure instead of a silent tax: it runs a fixed
-//! set of calibrated kernels through the runner's [`Meter`], records
+//! set of calibrated kernels through [`mbb_obs::Meter`], records
 //! events/second per kernel in a `BENCH_<n>.json` (schema
 //! [`SCHEMA`] = `mbb-bench-gate/1`), and compares the run against a
 //! committed `bench/baseline.json` with a configurable tolerance.
@@ -44,9 +44,9 @@ use mbb_ir::interp::Interpreter;
 use mbb_ir::trace::{AccessKind, AccessSink, Buffered};
 use mbb_memsim::arena::{Arena, TracedArray};
 use mbb_memsim::machine::MachineModel;
+use mbb_obs::json::Json;
+use mbb_obs::Meter;
 
-use crate::json::Json;
-use crate::runner::Meter;
 use crate::table::{f, Table};
 
 /// Schema tag of the gate's JSON documents.

@@ -9,21 +9,22 @@
 //! only in the stderr report and in the JSON timing fields, which
 //! [`strip_timing`] removes for determinism comparisons.
 //!
-//! Observability: each worker reads the thread-local access-event odometer
-//! (`mbb_memsim::events`) before and after a job, giving an exact per-job
-//! count of simulated memory accesses and an events/second throughput —
-//! the simulator's equivalent of instructions-per-second.
+//! Observability: each worker wraps a [`Meter`] around a job, reading the
+//! thread-local access odometer before and after it, which gives an exact
+//! per-job count of simulated memory accesses and an events/second
+//! throughput — the simulator's equivalent of instructions-per-second.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mbb_memsim::machine::MachineModel;
+use mbb_obs::json::Json;
+use mbb_obs::{mev_per_sec, Meter};
 
 use crate::experiments::{self, Figure1, Sizes};
-use crate::json::Json;
 use crate::table::{f, Table};
 
 /// Shared read-only context every job receives.
@@ -95,11 +96,9 @@ pub fn run_jobs(jobs: &[Job], ctx: &Ctx, threads: usize) -> Vec<JobResult> {
             loop {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(k) else { break };
-                let events_before = mbb_memsim::events::so_far();
-                let start = Instant::now();
+                let meter = Meter::start();
                 let out = catch_unwind(AssertUnwindSafe(|| (job.run)(ctx)));
-                let wall = start.elapsed();
-                let events = mbb_memsim::events::so_far().wrapping_sub(events_before);
+                let m = meter.finish();
                 done.push((
                     k,
                     out.map(|o| JobResult {
@@ -107,8 +106,8 @@ pub fn run_jobs(jobs: &[Job], ctx: &Ctx, threads: usize) -> Vec<JobResult> {
                         title: job.title,
                         rendered: o.rendered,
                         data: o.data,
-                        wall,
-                        events,
+                        wall: m.wall,
+                        events: m.events,
                     }),
                 ));
             }
@@ -166,7 +165,7 @@ pub fn render_timing(results: &[JobResult], total_wall: Duration, threads: usize
             r.name.to_string(),
             f(r.wall.as_secs_f64(), 3),
             r.events.to_string(),
-            f(rate_mev(r.events, r.wall), 1),
+            f(mev_per_sec(r.events, r.wall), 1),
         ]);
     }
     let busy: Duration = results.iter().map(|r| r.wall).sum();
@@ -175,18 +174,9 @@ pub fn render_timing(results: &[JobResult], total_wall: Duration, threads: usize
         format!("total ({threads} worker{})", if threads == 1 { "" } else { "s" }),
         f(total_wall.as_secs_f64(), 3),
         events.to_string(),
-        f(rate_mev(events, busy), 1),
+        f(mev_per_sec(events, busy), 1),
     ]);
     t.render()
-}
-
-fn rate_mev(events: u64, wall: Duration) -> f64 {
-    let s = wall.as_secs_f64();
-    if s > 0.0 {
-        events as f64 / s / 1e6
-    } else {
-        0.0
-    }
 }
 
 /// Assembles the `--json` document (schema `mbb-bench-repro/1`, documented
@@ -210,7 +200,7 @@ pub fn results_to_json(
                     ("title", Json::str(r.title)),
                     ("wall_s", Json::num(r.wall.as_secs_f64())),
                     ("events", Json::UInt(r.events)),
-                    ("events_per_sec", Json::num(rate_mev(r.events, r.wall) * 1e6)),
+                    ("events_per_sec", Json::num(mev_per_sec(r.events, r.wall) * 1e6)),
                     ("data", r.data.clone()),
                 ])
             })),
@@ -241,82 +231,6 @@ pub fn strip_timing(doc: &mut Json) {
                 *v = Json::Null;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wall-clock + event metering for one-off runs (`mbbc report`)
-// ---------------------------------------------------------------------------
-
-/// Time this thread has spent on-CPU, from the scheduler's own accounting.
-/// The reader itself lives in `mbb-obs` (span CPU attribution uses the
-/// same clock); the perf gate and `Meter` read it through this alias.
-fn thread_on_cpu() -> Option<Duration> {
-    mbb_obs::thread_on_cpu()
-}
-
-/// Meters wall-clock and simulated events over a region of the current
-/// thread.  This is the same instrument `run_jobs` wraps around each job,
-/// exposed for single-simulation callers like the CLI.
-pub struct Meter {
-    start: Instant,
-    on_cpu_before: Option<Duration>,
-    events_before: u64,
-}
-
-/// A finished [`Meter`] reading.
-pub struct Measure {
-    /// Elapsed wall-clock.
-    pub wall: Duration,
-    /// Time the thread was actually on-CPU during the region, when the OS
-    /// exposes it (Linux schedstat); background load does not inflate it.
-    pub on_cpu: Option<Duration>,
-    /// Simulated access events during the region (this thread only).
-    pub events: u64,
-}
-
-impl Meter {
-    /// Starts metering.
-    #[allow(clippy::new_without_default)]
-    pub fn start() -> Meter {
-        Meter {
-            start: Instant::now(),
-            on_cpu_before: thread_on_cpu(),
-            events_before: mbb_memsim::events::so_far(),
-        }
-    }
-
-    /// Stops and reads the meter.
-    pub fn finish(self) -> Measure {
-        Measure {
-            wall: self.start.elapsed(),
-            on_cpu: self
-                .on_cpu_before
-                .and_then(|before| Some(thread_on_cpu()?.saturating_sub(before))),
-            events: mbb_memsim::events::so_far().wrapping_sub(self.events_before),
-        }
-    }
-}
-
-impl Measure {
-    /// Simulated events per second of wall-clock.
-    pub fn events_per_sec(&self) -> f64 {
-        rate_mev(self.events, self.wall) * 1e6
-    }
-
-    /// The region's compute time: on-CPU when available, else wall-clock.
-    pub fn busy(&self) -> Duration {
-        self.on_cpu.unwrap_or(self.wall)
-    }
-
-    /// One human line: `simulated 2076672 accesses in 0.031 s (67.0 Mev/s)`.
-    pub fn summary(&self) -> String {
-        format!(
-            "simulated {} accesses in {:.3} s ({:.1} Mev/s)",
-            self.events,
-            self.wall.as_secs_f64(),
-            rate_mev(self.events, self.wall)
-        )
     }
 }
 
@@ -616,20 +530,5 @@ mod tests {
             assert!(e.get("data").is_some(), "data survives stripping");
         }
         assert_eq!(exps[0].get("data"), Some(&Json::UInt(1)));
-    }
-
-    #[test]
-    fn meter_reads_the_event_odometer() {
-        use mbb_ir::trace::{Access, AccessSink};
-        use mbb_memsim::cache::CacheConfig;
-        use mbb_memsim::hierarchy::Hierarchy;
-        let meter = Meter::start();
-        let mut h = Hierarchy::new(vec![CacheConfig::write_back("L1", 256, 32, 2)]);
-        for k in 0..50u64 {
-            h.access(Access::read(k * 8, 8));
-        }
-        let m = meter.finish();
-        assert_eq!(m.events, 50);
-        assert!(m.summary().contains("50 accesses"), "{}", m.summary());
     }
 }

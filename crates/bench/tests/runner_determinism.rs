@@ -7,10 +7,10 @@
 use std::time::Duration;
 
 use mbb_bench::experiments::Sizes;
-use mbb_bench::json::Json;
 use mbb_bench::runner::{
     paper_jobs, render_report, render_timing, results_to_json, run_jobs, strip_timing, Ctx, Job,
 };
+use mbb_obs::json::Json;
 
 fn ctx() -> Ctx {
     Ctx { sizes: Sizes::quick(), quick: true }

@@ -8,11 +8,11 @@
 //!   concurrency can never bleed counts between jobs);
 //! * a serialized Chrome trace round-trips through `Json::parse`.
 
-use mbb_bench::chrometrace::chrome_trace;
-use mbb_bench::json::Json;
 use mbb_bench::runner::{run_jobs, Ctx, Job, JobOutput};
 use mbb_core::balance::measure_program_balance;
 use mbb_memsim::machine::MachineModel;
+use mbb_obs::chrometrace::chrome_trace;
+use mbb_obs::json::Json;
 use mbb_obs::{collect, Counters, Mode, Profile};
 
 const SRC: &str = "\

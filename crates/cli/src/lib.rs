@@ -98,7 +98,7 @@ pub fn cmd_run(src: &str) -> Result<String, ServeError> {
 /// The `report` command.
 pub fn cmd_report(src: &str, opts: &Options) -> Result<String, ServeError> {
     let p = load(src)?;
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     let a = analysis::report(&p, opts)?;
     let sim = meter.finish();
     let mut out = a.text;
@@ -110,7 +110,7 @@ pub fn cmd_report(src: &str, opts: &Options) -> Result<String, ServeError> {
 /// traffic (also served over the wire by `mbbc serve`).
 pub fn cmd_trace_stats(src: &str, opts: &Options) -> Result<String, ServeError> {
     let p = load(src)?;
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     let a = analysis::trace_stats(&p, opts)?;
     let sim = meter.finish();
     let mut out = a.text;
@@ -193,8 +193,8 @@ pub fn cmd_optimize_profiled(src: &str, opts: &Options) -> Result<(Profiled, Str
 /// server excludes them from responses.
 fn append_search_footer(
     out: &mut String,
-    before: mbb_search::ScoreCacheStats,
-    sim: mbb_bench::runner::Measure,
+    before: mbb_search::cache::CacheStats,
+    sim: mbb_obs::Measure,
 ) {
     let after = mbb_search::ScoreCache::global().stats();
     let _ = writeln!(
@@ -214,7 +214,7 @@ pub fn cmd_optimize_search(
 ) -> Result<(String, String), ServeError> {
     let p = load(src)?;
     let cache_before = mbb_search::ScoreCache::global().stats();
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     let (a, optimized) = analysis::optimize_search(&p, opts, sp)?;
     let mut out = a.text;
     append_search_footer(&mut out, cache_before, meter.finish());
@@ -255,7 +255,7 @@ pub fn cmd_optimize_pipeline(
     let p = load(src)?;
     let cand = mbb_search::Candidate::parse(spec)
         .map_err(|e| ServeError::new(ErrorKind::BadRequest, format!("bad --pipeline spec: {e}")))?;
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     let _budget = opts.budget.install();
     let _engine = mbb_ir::runs::install(opts.engine);
     let budget_err = |e: String| {
@@ -299,7 +299,7 @@ pub fn cmd_optimize(src: &str, opts: &Options) -> Result<(String, String), Serve
     // Meter the whole simulation-backed region — balance measurements,
     // the equivalence verification runs, and the re-measurement of the
     // optimised program — exactly as `report` meters its single run.
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     let (a, optimized) = analysis::optimize(&p, opts)?;
     let sim = meter.finish();
     let mut out = a.text;

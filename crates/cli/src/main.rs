@@ -8,8 +8,7 @@
 //! mbbc serve         [--addr HOST:PORT] [--workers N] [--cache-mb M]
 //!                    [--queue-depth D] [--idle-timeout SECS]
 //!                    [--request-budget STEPS] [--deadline-ms MS]
-//!                    [--admission on|off] [--brownout on|off]
-//!                    [--class-weights A,R,O,S]
+//!                    [--brownout on|off]
 //!                    [--peers A,B,C] [--advertise HOST:PORT]
 //!                    [--pipeline-depth D]
 //! ```
@@ -60,10 +59,7 @@ fn usage() -> &'static str {
        --idle-timeout S   exit after S seconds without traffic\n\
        --request-budget STEPS   cap interpreter steps per request (default 2^32)\n\
        --deadline-ms MS         wall-clock cap per request (default none)\n\
-       --admission on|off       cost-based admission control (default on)\n\
        --brownout on|off        brown-out degradation controller (default on)\n\
-       --class-weights A,R,O,S  per-class queue thresholds, percent (default\n\
-     \x20                        100,90,60,30: admin,report,optimize,search)\n\
        --peers A,B,C      comma-separated tier members (host:port each); the\n\
      \x20                  nodes consistent-hash the cache key space among\n\
      \x20                  themselves and forward requests to the owner\n\
@@ -91,25 +87,6 @@ fn onoff(flag: &str, value: &str) -> Result<bool, String> {
         "off" => Ok(false),
         other => Err(format!("mbbc: {flag} wants on|off, got `{other}`")),
     }
-}
-
-/// Parses `--class-weights A,R,O,S`: four comma-separated percentages in
-/// 1..=100, ordered admin, report, optimize, search.
-fn class_weights(value: &str) -> Result<[u8; 4], String> {
-    let parts: Vec<&str> = value.split(',').collect();
-    if parts.len() != 4 {
-        return Err(format!(
-            "mbbc: --class-weights wants 4 comma-separated percentages \
-             (admin,report,optimize,search), got `{value}`"
-        ));
-    }
-    let mut w = [0u8; 4];
-    for (slot, part) in w.iter_mut().zip(parts) {
-        *slot = part.trim().parse::<u8>().ok().filter(|&n| (1..=100).contains(&n)).ok_or_else(
-            || format!("mbbc: --class-weights wants percentages in 1..=100, got `{part}`"),
-        )?;
-    }
-    Ok(w)
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
@@ -148,9 +125,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--deadline-ms" => {
                 positive().map(|n| cfg.request_deadline = Some(Duration::from_millis(n)))
             }
-            "--admission" => onoff(flag, value).map(|b| cfg.admission = b),
             "--brownout" => onoff(flag, value).map(|b| cfg.brownout = b),
-            "--class-weights" => class_weights(value).map(|w| cfg.class_weights = w),
             "--peers" => {
                 cfg.peers = value.split(',').map(|p| p.trim().to_string()).collect();
                 Ok(())
@@ -387,7 +362,7 @@ fn main() -> ExitCode {
         if let Some(path) = &trace_out {
             let tracks: Vec<(&str, &mbb_obs::Profile)> =
                 profiled.profiles.iter().map(|(label, p)| (label.as_str(), p)).collect();
-            let doc = mbb_bench::chrometrace::chrome_trace(&tracks);
+            let doc = mbb_obs::chrometrace::chrome_trace(&tracks);
             std::fs::write(path, doc.render())
                 .map_err(|e| ServeError::new(ErrorKind::Io, format!("{path}: {e}")))?;
         }

@@ -121,15 +121,7 @@ fn serve_budget_flags_reject_zero_and_garbage() {
 
 #[test]
 fn serve_overload_flags_reject_garbage() {
-    for (flag, value) in [
-        ("--admission", "maybe"),
-        ("--brownout", "1"),
-        ("--class-weights", "100,90,60"),
-        ("--class-weights", "100,90,60,30,10"),
-        ("--class-weights", "100,90,60,0"),
-        ("--class-weights", "100,90,60,lots"),
-        ("--class-weights", "100,90,60,101"),
-    ] {
+    for (flag, value) in [("--brownout", "1"), ("--brownout", "maybe")] {
         let out = mbbc().args(["serve", flag, value]).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{flag} {value} should be a usage error");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -193,19 +185,7 @@ fn serve_accepts_tier_flags_and_drains_on_idle() {
 #[test]
 fn serve_accepts_overload_flags_and_drains_on_idle() {
     let out = mbbc()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--idle-timeout",
-            "1",
-            "--admission",
-            "off",
-            "--brownout",
-            "on",
-            "--class-weights",
-            "100,80,50,20",
-        ])
+        .args(["serve", "--addr", "127.0.0.1:0", "--idle-timeout", "1", "--brownout", "on"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));

@@ -22,9 +22,15 @@
 //!   Figures 7–8;
 //! * [`pipeline`] — the complete compiler strategy (fuse → shrink/peel →
 //!   eliminate stores) with dynamic equivalence verification.
+//!
+//! It is also the home of the content-addressing every cache above it
+//! shares: [`canon`] builds the keys (and holds the workspace's one hash
+//! and one mixer), and [`cache`] is the single-flight cache the server's
+//! results and the search's scores are stored in.
 
 pub mod advisor;
 pub mod balance;
+pub mod cache;
 pub mod canon;
 pub mod distribute;
 pub mod embed;

@@ -10,7 +10,7 @@
 //! decomposition that tells you which nest a fusion or store-elimination
 //! pass actually helped.
 
-use mbb_obs::{Counters, Profile};
+use mbb_obs::{channel_names, Counters, Profile};
 
 /// One row of the per-nest table: a loop nest (or the final flush) with
 /// its attributed traffic.
@@ -114,22 +114,6 @@ pub fn nest_table_under(profile: &Profile, phase: Option<&str>) -> Option<NestTa
     }
 
     Some(NestTable { channels: total.channels_used(), flops: total.flops, total, rows })
-}
-
-/// Channel display names for an `n`-channel hierarchy, matching the
-/// whole-program report: `Reg↔L1`, `L1↔L2`, …, `Mem`.
-pub fn channel_names(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|k| {
-            if k == 0 {
-                "Reg↔L1".to_string()
-            } else if k + 1 == n {
-                "Mem".to_string()
-            } else {
-                format!("L{}↔L{}", k, k + 1)
-            }
-        })
-        .collect()
 }
 
 /// Renders the table: one row per nest, `bytes (bytes/flop)` per channel,

@@ -290,7 +290,7 @@ fn cmd_search_sweep(args: &Args) -> Result<(), String> {
     let never_worse = doc
         .get("summary")
         .and_then(|s| s.get("never_worse"))
-        .is_some_and(|v| v == &mbb_bench::json::Json::Bool(true));
+        .is_some_and(|v| v == &mbb_obs::json::Json::Bool(true));
     if !never_worse {
         return Err("search landed above its fixed-pipeline floor (see summary)".into());
     }

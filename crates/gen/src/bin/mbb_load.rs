@@ -28,7 +28,6 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::mpsc;
 use std::time::Duration;
 
 use mbb_gen::load::{run_tier, LoadConfig};
@@ -181,17 +180,8 @@ fn spawn_server(args: &Args) -> Result<Spawned, String> {
         read_timeout: Duration::from_secs(5),
         ..mbb_server::server::Config::default()
     };
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        if let Err(e) = mbb_server::server::serve(cfg, move |addr, handle| {
-            let _ = tx.send((addr, handle));
-        }) {
-            eprintln!("mbb-load: spawned server failed: {e}");
-        }
-    });
-    let (addr, handle) = rx
-        .recv_timeout(Duration::from_secs(10))
-        .map_err(|_| "spawned server did not come up".to_string())?;
+    let (addr, handle, thread) =
+        mbb_server::server::spawn(cfg).map_err(|e| format!("spawned server failed: {e}"))?;
     Ok(Spawned { addr, handle, thread: Some(thread) })
 }
 

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{request, request_with_budget, Client};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

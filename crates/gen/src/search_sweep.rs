@@ -17,10 +17,10 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use mbb_bench::json::Json;
 use mbb_core::balance::measure_program_balance;
 use mbb_ir::runs::{self, Engine};
 use mbb_memsim::MachineModel;
+use mbb_obs::json::Json;
 use mbb_search::{ScoreCache, SearchOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -7,11 +7,11 @@
 //! artifacts, so the optimizer's win-rate over the generated program
 //! space accumulates one trajectory point per night.
 
-use mbb_bench::json::Json;
 use mbb_core::balance::measure_program_balance;
 use mbb_core::pipeline::{optimize, OptimizeOptions};
 use mbb_ir::runs::{self, Engine};
 use mbb_memsim::MachineModel;
+use mbb_obs::json::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -629,21 +629,21 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 impl AccessSink for Hierarchy {
     fn access(&mut self, a: Access) {
-        crate::events::record();
+        mbb_obs::tick_accesses(1);
         self.access_one(a);
     }
 
     fn access_block(&mut self, block: &[Access]) {
         // One odometer tick and one virtual call for the whole run; the
         // per-event work is the inlined fast path.
-        crate::events::record_n(block.len() as u64);
+        mbb_obs::tick_accesses(block.len() as u64);
         for &a in block {
             self.access_one(a);
         }
     }
 
     fn access_runs(&mut self, refs: &[RunRef], count: u64) {
-        crate::events::record_n(count.wrapping_mul(refs.len() as u64));
+        mbb_obs::tick_accesses(count.wrapping_mul(refs.len() as u64));
         self.run_walk(refs, count);
     }
 }
@@ -789,6 +789,16 @@ mod tests {
         }
         assert_eq!(scalar.report(), batched.report());
         assert_eq!(scalar.report(), buffered.report());
+    }
+
+    #[test]
+    fn access_ticks_the_odometer_once_per_event() {
+        let before = crate::events::so_far();
+        let mut h = two_level();
+        for k in 0..100u64 {
+            h.access(Access::read(k * 8, 8));
+        }
+        assert_eq!(crate::events::so_far() - before, 100);
     }
 
     #[test]

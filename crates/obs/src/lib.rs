@@ -13,7 +13,11 @@
 //!
 //! This crate sits *below* `mbb-ir`/`mbb-memsim` in the dependency graph
 //! (it depends on nothing), which is what lets both the interpreter and
-//! the simulator tick into it without a cycle.
+//! the simulator tick into it without a cycle.  It is also the one home of
+//! the std-only infrastructure every layer above shares: the [`json`]
+//! value, parser and writers (the service's wire format and every
+//! machine-readable report), the [`Meter`] around a measured region, and
+//! the [`chrometrace`] export of a [`Profile`].
 //!
 //! ## Cost when disabled
 //!
@@ -24,7 +28,9 @@
 //!   with no collector anywhere is one load and one branch: no clock
 //!   read, no allocation.
 //! * [`counters_enabled`] — true while a [`Mode::Full`] collector exists.
-//!   Gates the per-event odometer ticks on the simulator hot path.
+//!   Gates the per-event odometer ticks on the simulator hot path.  The
+//!   one exception is the demand-access count ([`accesses`]), which is
+//!   always on: one thread-local add per access, block or run.
 //!
 //! The `repro gate` perf budget is protected by exactly this property:
 //! tracing is compiled in everywhere but costs ~one relaxed load per
@@ -43,6 +49,12 @@ use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+pub mod chrometrace;
+pub mod json;
+mod meter;
+
+pub use meter::{mev_per_sec, Measure, Meter};
 
 /// Fixed capacity of the per-level counter rows.  Real hierarchies in
 /// this repository have 2–3 channels; 8 leaves headroom for scaled
@@ -84,10 +96,11 @@ pub fn counters_enabled() -> bool {
 ///
 /// All fields only ever grow (wrapping, i.e. never in practice), so a
 /// delta between two snapshots taken on one thread is race-free by
-/// construction — the same discipline as `mbb-memsim::events`.
+/// construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
-    /// Demand accesses consumed by a hierarchy (the events odometer).
+    /// Demand accesses consumed by a hierarchy (always counted; see
+    /// [`accesses`]).
     pub accesses: u64,
     /// Floating-point operations executed by the interpreter.
     pub flops: u64,
@@ -146,6 +159,22 @@ impl Counters {
     }
 }
 
+/// Display names for `n` channels: the register channel first, `Mem`
+/// last, `Lk↔Lk+1` between.
+pub fn channel_names(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|k| {
+            if k == 0 {
+                "Reg↔L1".to_string()
+            } else if k + 1 == n {
+                "Mem".to_string()
+            } else {
+                format!("L{}↔L{}", k, k + 1)
+            }
+        })
+        .collect()
+}
+
 struct Odometer {
     accesses: Cell<u64>,
     flops: Cell<u64>,
@@ -158,15 +187,18 @@ struct Odometer {
 }
 
 thread_local! {
-    static ODO: Odometer = Odometer {
-        accesses: Cell::new(0),
-        flops: Cell::new(0),
-        mem_read_bytes: Cell::new(0),
-        mem_write_bytes: Cell::new(0),
-        tlb_misses: Cell::new(0),
-        channel_bytes: std::array::from_fn(|_| Cell::new(0)),
-        misses: std::array::from_fn(|_| Cell::new(0)),
-        writebacks: std::array::from_fn(|_| Cell::new(0)),
+    // `const`-initialised: no lazy-init check on the simulator hot path.
+    static ODO: Odometer = const {
+        Odometer {
+            accesses: Cell::new(0),
+            flops: Cell::new(0),
+            mem_read_bytes: Cell::new(0),
+            mem_write_bytes: Cell::new(0),
+            tlb_misses: Cell::new(0),
+            channel_bytes: [const { Cell::new(0) }; MAX_CHANNELS],
+            misses: [const { Cell::new(0) }; MAX_CHANNELS],
+            writebacks: [const { Cell::new(0) }; MAX_CHANNELS],
+        }
     };
 }
 
@@ -189,17 +221,24 @@ pub fn snapshot() -> Counters {
     })
 }
 
-// Tick sites.  Each is gated on `counters_enabled` *inside* the callee so
-// call sites in the simulator stay a plain function call; when disabled
-// the inlined body is one relaxed load and a taken branch.
+/// Demand accesses simulated on this thread so far.  Unlike the other
+/// odometer fields this count is always on: it is the events odometer
+/// behind [`Meter`] and the experiment runner's per-job throughput, read
+/// before and after a region **on the thread that runs it**.
+pub fn accesses() -> u64 {
+    ODO.with(|o| o.accesses.get())
+}
 
-/// Ticks demand accesses (called by `mbb-memsim::events`).
+/// Ticks `n` demand accesses (called by the `mbb-memsim` hierarchy once
+/// per access, block or run).  Always counts: one thread-local add.
 #[inline]
 pub fn tick_accesses(n: u64) {
-    if counters_enabled() {
-        ODO.with(|o| bump(&o.accesses, n));
-    }
+    ODO.with(|o| bump(&o.accesses, n));
 }
+
+// The remaining tick sites are gated on `counters_enabled` *inside* the
+// callee so call sites in the simulator stay a plain function call; when
+// disabled the inlined body is one relaxed load and a taken branch.
 
 /// Ticks interpreter flops attributed to the current span.
 #[inline]
@@ -264,8 +303,8 @@ pub fn tick_tlb_miss() {
 /// Time this thread has spent on-CPU, from the scheduler's own accounting
 /// (`/proc/thread-self/schedstat`, nanosecond resolution).  Unlike
 /// wall-clock it does not count time stolen by other processes, which is
-/// what makes span CPU attribution (and the perf gate that reuses this
-/// reader through `mbb-bench`'s `Meter`) usable on busy shared runners.
+/// what makes span CPU attribution (and the perf gate that reads it
+/// through [`Meter`]) usable on busy shared runners.
 /// `None` where the kernel or platform doesn't expose it.
 pub fn thread_on_cpu() -> Option<Duration> {
     let text = std::fs::read_to_string("/proc/thread-self/schedstat")
@@ -545,8 +584,16 @@ macro_rules! span {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that open collectors or assert on the
+    /// process-wide enable flags, which a concurrent test would flip.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_sites_record_nothing() {
+        let _serial = serial();
         assert!(!timing_enabled());
         let before = snapshot();
         {
@@ -560,6 +607,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_partition_deltas() {
+        let _serial = serial();
         let c = collect(Mode::Full);
         {
             let _outer = span!("outer");
@@ -604,6 +652,7 @@ mod tests {
 
     #[test]
     fn timing_mode_leaves_the_odometer_off() {
+        let _serial = serial();
         let c = collect(Mode::Timing);
         assert!(timing_enabled());
         assert!(!counters_enabled());
@@ -621,14 +670,18 @@ mod tests {
 
     #[test]
     fn counters_are_per_thread() {
+        let _serial = serial();
         let c = collect(Mode::Full);
+        let accesses_before = accesses();
         std::thread::spawn(|| {
             // The sibling thread ticks (the flag is global) but into its
-            // own odometer; nothing leaks into our spans.
+            // own odometer; nothing leaks into our spans or access count.
             tick_channel_bytes(0, 1_000_000);
+            tick_accesses(7);
         })
         .join()
         .unwrap();
+        assert_eq!(accesses(), accesses_before);
         {
             let _s = span!("here");
             tick_channel_bytes(0, 5);
@@ -639,6 +692,7 @@ mod tests {
 
     #[test]
     fn formatted_names_and_find() {
+        let _serial = serial();
         let c = collect(Mode::Timing);
         let nest = "update";
         {
@@ -652,6 +706,7 @@ mod tests {
 
     #[test]
     fn guard_outliving_its_collector_is_inert() {
+        let _serial = serial();
         let c = collect(Mode::Timing);
         let g = SpanGuard::enter("orphan");
         let p = c.finish();
@@ -667,6 +722,7 @@ mod tests {
 
     #[test]
     fn nested_collectors_record_into_the_innermost() {
+        let _serial = serial();
         let outer = collect(Mode::Full);
         {
             let _s = span!("outer-span");
@@ -698,6 +754,7 @@ mod tests {
 
     #[test]
     fn profile_ancestry_helpers() {
+        let _serial = serial();
         let c = collect(Mode::Timing);
         {
             let _a = span!("a");

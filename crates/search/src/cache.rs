@@ -4,10 +4,9 @@
 //! hierarchy — by far the dominant cost of a search — and candidates
 //! recur massively: different searches over the same program, different
 //! move orders reaching the same text, concurrent server requests.  This
-//! cache reuses the server result cache's design (sharded FNV map,
-//! LRU-stamped eviction, single-flight so concurrent misses on one key
-//! compute once) but stores measured [`Score`]s instead of rendered
-//! responses.
+//! cache is the shared [`mbb_core::cache::Cache`] (sharded, LRU-stamped,
+//! single-flight so concurrent misses on one key compute once) holding
+//! measured [`Score`]s, bounded by entry count.
 //!
 //! Keys are content addresses built by [`mbb_core::canon::cache_key`]
 //! from `(kind, machine, canonical candidate program)` — the same
@@ -18,10 +17,10 @@
 //! canary run can never poison the shared cache for honest searches in
 //! the same process.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::OnceLock;
+
+use mbb_core::cache::Cache;
+pub use mbb_core::cache::CacheStats;
 
 /// One candidate's measured balance, as the search scores it.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,62 +45,8 @@ impl Score {
     }
 }
 
-/// A key being computed right now; waiters block on the condvar.
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-enum Entry {
-    Ready { score: Score, stamp: u64 },
-    InFlight(Arc<Flight>),
-}
-
-struct Shard {
-    map: HashMap<u64, Entry>,
-    clock: u64,
-}
-
-/// Removes an in-flight marker and wakes waiters if the leader fails or
-/// panics, so a poisoned key never wedges later lookups.
-struct LeaderGuard<'a> {
-    cache: &'a ScoreCache,
-    key: u64,
-    flight: Arc<Flight>,
-    completed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            let mut shard = self.cache.shard(self.key).lock().unwrap();
-            shard.map.remove(&self.key);
-            drop(shard);
-            *self.flight.done.lock().unwrap() = true;
-            self.flight.cv.notify_all();
-        }
-    }
-}
-
-/// Running totals (monotone, relaxed).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScoreCacheStats {
-    /// Lookups served from a ready entry.
-    pub hits: u64,
-    /// Lookups that computed (including recomputes after an evict).
-    pub misses: u64,
-    /// Entries evicted to stay under capacity.
-    pub evictions: u64,
-}
-
-/// The sharded single-flight score cache.
-pub struct ScoreCache {
-    shards: Vec<Mutex<Shard>>,
-    cap_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+/// The process-wide or per-search score cache.
+pub struct ScoreCache(Cache<Score>);
 
 /// Capacity of the process-wide cache ([`ScoreCache::global`]): scores
 /// are a few hundred bytes each, so 64Ki entries stay well under the
@@ -110,18 +55,10 @@ const GLOBAL_CAPACITY: usize = 64 * 1024;
 const GLOBAL_SHARDS: usize = 8;
 
 impl ScoreCache {
-    /// A cache holding at most `capacity` scores across `shards` shards.
+    /// A cache holding at most `capacity` scores, split evenly over
+    /// `shards` shards.
     pub fn new(capacity: usize, shards: usize) -> ScoreCache {
-        let shards = shards.max(1);
-        ScoreCache {
-            cap_per_shard: capacity.div_ceil(shards).max(1),
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::new(), clock: 0 }))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        ScoreCache(Cache::new(capacity as u64, shards, |_| 1))
     }
 
     /// The process-wide cache concurrent searches share (the server's
@@ -131,198 +68,22 @@ impl ScoreCache {
         GLOBAL.get_or_init(|| ScoreCache::new(GLOBAL_CAPACITY, GLOBAL_SHARDS))
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
     /// Looks `key` up, computing on a miss with single-flight dedup: one
     /// concurrent caller computes, the rest wait and reuse.  Returns the
     /// score and whether it was served from the cache.  Errors are
-    /// propagated and never cached; waiters of a failed leader retry
-    /// (and re-check their own deadline while parked, via `on_wait`).
+    /// propagated and never cached; a waiter re-checks its own deadline
+    /// while parked, via `on_wait`.
     pub fn get_or_compute<E>(
         &self,
         key: u64,
-        mut on_wait: impl FnMut() -> Result<(), E>,
+        on_wait: impl FnMut() -> Result<(), E>,
         compute: impl FnOnce() -> Result<Score, E>,
     ) -> Result<(Score, bool), E> {
-        let mut compute = Some(compute);
-        loop {
-            let flight = {
-                let mut shard = self.shard(key).lock().unwrap();
-                shard.clock += 1;
-                let now = shard.clock;
-                match shard.map.get_mut(&key) {
-                    Some(Entry::Ready { score, stamp }) => {
-                        *stamp = now;
-                        let score = score.clone();
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((score, true));
-                    }
-                    Some(Entry::InFlight(f)) => Arc::clone(f),
-                    None => {
-                        let flight =
-                            Arc::new(Flight { done: Mutex::new(false), cv: Condvar::new() });
-                        shard.map.insert(key, Entry::InFlight(Arc::clone(&flight)));
-                        drop(shard);
-                        // Leader: compute outside the shard lock.
-                        let mut guard = LeaderGuard { cache: self, key, flight, completed: false };
-                        let f = compute.take().expect("leader elected once per call");
-                        let score = f()?;
-                        let mut shard = self.shard(key).lock().unwrap();
-                        shard.clock += 1;
-                        let stamp = shard.clock;
-                        shard.map.insert(key, Entry::Ready { score: score.clone(), stamp });
-                        self.evict_over_capacity(&mut shard);
-                        drop(shard);
-                        guard.completed = true;
-                        *guard.flight.done.lock().unwrap() = true;
-                        guard.flight.cv.notify_all();
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        return Ok((score, false));
-                    }
-                }
-            };
-            // Waiter: park until the leader finishes (or fails), waking
-            // periodically so an installed deadline still fires.
-            let mut done = flight.done.lock().unwrap();
-            while !*done {
-                on_wait()?;
-                let (d, _) = flight.cv.wait_timeout(done, Duration::from_millis(10)).unwrap();
-                done = d;
-            }
-            // Loop: either the entry is now Ready (hit) or the leader
-            // failed and removed it (this caller becomes the leader) —
-            // unless this caller already consumed its compute closure,
-            // which cannot happen because leaders return above.
-        }
+        self.0.get_or_compute(key, on_wait, compute)
     }
 
-    fn evict_over_capacity(&self, shard: &mut Shard) {
-        while shard.map.len() > self.cap_per_shard {
-            let Some((&oldest, _)) = shard
-                .map
-                .iter()
-                .filter_map(|(k, e)| match e {
-                    Entry::Ready { stamp, .. } => Some((k, *stamp)),
-                    Entry::InFlight(_) => None,
-                })
-                .min_by_key(|&(_, stamp)| stamp)
-            else {
-                break; // only in-flight entries: nothing evictable
-            };
-            shard.map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current totals.
-    pub fn stats(&self) -> ScoreCacheStats {
-        ScoreCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Ready entries currently held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock().unwrap().map.values().filter(|e| matches!(e, Entry::Ready { .. })).count()
-            })
-            .sum()
-    }
-
-    /// True when no ready entry is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    fn score(v: f64) -> Score {
-        Score { bytes_per_flop: vec![v, v], channel_bytes: vec![1, 2], flops: 3 }
-    }
-
-    fn no_wait() -> Result<(), String> {
-        Ok(())
-    }
-
-    #[test]
-    fn second_lookup_hits() {
-        let c = ScoreCache::new(16, 2);
-        let (s, hit) = c.get_or_compute(7, no_wait, || Ok::<_, String>(score(1.0))).unwrap();
-        assert!(!hit);
-        let (s2, hit) = c.get_or_compute(7, no_wait, || panic!("must not recompute")).unwrap();
-        assert!(hit);
-        assert_eq!(s, s2);
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let c = ScoreCache::new(16, 1);
-        let e = c.get_or_compute(1, no_wait, || Err::<Score, _>("boom".to_string()));
-        assert_eq!(e.unwrap_err(), "boom");
-        let (_, hit) = c.get_or_compute(1, no_wait, || Ok::<_, String>(score(2.0))).unwrap();
-        assert!(!hit, "failed computation must not leave an entry behind");
-    }
-
-    #[test]
-    fn capacity_is_enforced_lru() {
-        let c = ScoreCache::new(4, 1);
-        for k in 0..8u64 {
-            c.get_or_compute(k, no_wait, || Ok::<_, String>(score(k as f64))).unwrap();
-        }
-        assert!(c.len() <= 4);
-        assert!(c.stats().evictions >= 4);
-        // The most recent key survived.
-        let (_, hit) = c.get_or_compute(7, no_wait, || Ok::<_, String>(score(0.0))).unwrap();
-        assert!(hit);
-    }
-
-    #[test]
-    fn concurrent_misses_compute_once() {
-        let c = Arc::new(ScoreCache::new(16, 2));
-        let computes = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                let computes = Arc::clone(&computes);
-                std::thread::spawn(move || {
-                    c.get_or_compute(42, no_wait, || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_millis(20));
-                        Ok::<_, String>(score(9.0))
-                    })
-                    .unwrap()
-                    .0
-                })
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(t.join().unwrap().memory(), 9.0);
-        }
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "single-flight");
-    }
-
-    #[test]
-    fn panicking_leader_does_not_wedge_the_key() {
-        let c = Arc::new(ScoreCache::new(16, 1));
-        let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || {
-            let _ = c2
-                .get_or_compute(5, no_wait, || -> Result<Score, String> { panic!("leader dies") });
-        });
-        assert!(t.join().is_err());
-        let (_, hit) = c.get_or_compute(5, no_wait, || Ok::<_, String>(score(1.0))).unwrap();
-        assert!(!hit, "key is computable again after the leader panicked");
+    /// Counter snapshot.
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
     }
 }

@@ -24,7 +24,7 @@ pub mod cache;
 pub mod candidate;
 pub mod engine;
 
-pub use cache::{Score, ScoreCache, ScoreCacheStats};
+pub use cache::{Score, ScoreCache};
 pub use candidate::{Candidate, Move};
 pub use engine::{
     fixed_candidate, search, search_with_cache, ScoreView, SearchError, SearchOptions,

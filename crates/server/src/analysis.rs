@@ -9,7 +9,6 @@
 
 use std::fmt::Write as _;
 
-use mbb_bench::json::Json;
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
 use mbb_core::balance::{measure_program_balance, ratios, time_program};
 use mbb_core::pipeline::{optimize as run_pipeline, verify_equivalent, OptimizeOptions};
@@ -18,6 +17,8 @@ use mbb_ir::budget::Budget;
 use mbb_ir::{parse, pretty, Program};
 use mbb_memsim::machine::MachineModel;
 use mbb_memsim::timing::Bottleneck;
+use mbb_obs::channel_names;
+use mbb_obs::json::Json;
 
 use crate::error::{ErrorKind, ServeError};
 
@@ -216,22 +217,6 @@ fn run_error(e: impl ToString) -> ServeError {
 /// at the next stage boundary rather than running the next simulation.
 fn check_deadline() -> Result<(), ServeError> {
     mbb_ir::budget::charge(0).map_err(run_error)
-}
-
-/// Channel display names for a machine with `n` supply channels: the
-/// register channel first, `Mem` last, `Lk↔Lk+1` between.
-fn channel_names(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|k| {
-            if k == 0 {
-                "Reg↔L1".to_string()
-            } else if k + 1 == n {
-                "Mem".to_string()
-            } else {
-                format!("L{}↔L{}", k, k + 1)
-            }
-        })
-        .collect()
 }
 
 /// The `report` analysis: §2 program balance, ratios, utilisation bound

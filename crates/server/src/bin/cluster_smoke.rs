@@ -26,12 +26,11 @@
 //! nonzero so the CI lane fails with the evidence attached.
 
 use std::process::ExitCode;
-use std::sync::mpsc;
 use std::time::Duration;
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{expect_ok, request, Client};
-use mbb_server::server::{serve, Config};
+use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
@@ -95,16 +94,8 @@ fn drive(nodes: &[String], transcripts: &mut [Vec<String>]) -> Result<(), String
     let unique = KINDS.len() * PROGRAMS.len();
 
     // The single-node reference: same crate, same analysis code, no tier.
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        serve(Config { workers: 2, ..Config::default() }, move |addr, handle| {
-            tx.send((addr, handle)).unwrap()
-        })
-        .unwrap();
-    });
-    let (ref_addr, ref_handle) = rx
-        .recv_timeout(Duration::from_secs(10))
-        .map_err(|_| "reference server did not come up".to_string())?;
+    let (ref_addr, ref_handle, _) = spawn(Config { workers: 2, ..Config::default() })
+        .map_err(|e| format!("reference server: {e}"))?;
     let mut reference = vec![Vec::new(); unique];
     let mut ref_transcript = Vec::new();
     drive_pass(&ref_addr.to_string(), &mut ref_transcript, &mut reference)?;

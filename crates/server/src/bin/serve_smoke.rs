@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{expect_ok, Client, Pipeline};
 
 const PROGRAM: &str = "array res[4096]\narray data[4096]\nscalar sum = 0  // printed\nfor i = 0, 4095\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 4095\n  sum = (sum + res[j])\nend for\n";

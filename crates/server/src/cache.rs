@@ -1,23 +1,17 @@
-//! Sharded, content-addressed result cache with single-flight computes.
+//! The content-addressed result cache.
 //!
-//! Keys are FNV-1a hashes of `(request kind, machine name, option flags,
-//! canonical program text)` — the canonical text is the pretty-printer's
-//! stable rendering, so two requests that differ only in formatting share
-//! an entry.  Values are the compact-rendered `result` JSON, stored behind
-//! `Arc` so a hit hands back the *same bytes* the miss produced —
-//! responses are bit-identical by construction.
+//! Keys are [`mbb_core::canon::cache_key`] hashes of `(request kind,
+//! machine name, option flags, canonical program text)` — the canonical
+//! text is the pretty-printer's stable rendering, so two requests that
+//! differ only in formatting share an entry.  Values are the
+//! compact-rendered `result` JSON, stored behind `Arc` so a hit hands back
+//! the *same bytes* the miss produced — responses are bit-identical by
+//! construction.
 //!
-//! Concurrency: the key space is split over shards, each behind its own
-//! mutex, so unrelated requests never contend.  Within a shard an
-//! *in-flight* registry gives single-flight semantics: when several
-//! clients ask for the same uncomputed key at once, one computes and the
-//! rest block on a condvar and then read the fresh entry — the simulation
-//! runs once.  Failed computes are not cached; a waiter whose leader
-//! failed retries as the new leader.
-//!
-//! Eviction is least-recently-used under a byte budget, approximated with
-//! a logical clock per shard: each hit stamps the entry, and eviction
-//! removes the oldest stamps until the shard fits.
+//! Storage, single-flight and byte-budgeted LRU eviction are the shared
+//! [`mbb_core::cache::Cache`]; this wrapper adds the byte weights, the
+//! [`Site::CacheCompute`] fault site, and a deadline for callers that
+//! join another request's in-flight compute.
 //!
 //! In a shard tier ([`cluster`](crate::cluster)) each node keeps its own
 //! cache; coherence comes from routing, not replication — the
@@ -25,83 +19,24 @@
 //! as a whole fills one entry per unique key and serves the same bytes
 //! from every member.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+use std::time::Instant;
+
+use mbb_core::cache::Cache;
+pub use mbb_core::cache::CacheStats;
 
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::{self, Site};
-use crate::sync::{lock, wait};
-
-/// 64-bit FNV-1a over a byte string.  Delegates to the shared
-/// [`mbb_core::canon`] definition so every content-addressed cache in the
-/// workspace (this result cache, the search score cache) hashes
-/// identically; kept as a re-export for existing callers.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    mbb_core::canon::fnv1a(bytes)
-}
 
 /// Per-entry bookkeeping overhead charged against the byte budget (key,
 /// stamps, map slot) — approximate, but it keeps a flood of tiny entries
 /// from being "free".
 const ENTRY_OVERHEAD: u64 = 64;
 
-struct Entry {
-    val: Arc<String>,
-    bytes: u64,
-    stamp: u64,
-}
-
-struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u64, Entry>,
-    inflight: HashMap<u64, Arc<Flight>>,
-    bytes: u64,
-    clock: u64,
-}
-
-impl Shard {
-    fn evict_to(&mut self, budget: u64, entries: &AtomicU64, bytes: &AtomicU64) {
-        while self.bytes > budget {
-            let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, e)| e.stamp) else {
-                break;
-            };
-            let e = self.entries.remove(&victim).expect("victim chosen from map");
-            self.bytes -= e.bytes;
-            entries.fetch_sub(1, Ordering::Relaxed);
-            bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The cache. All counters are monotonic except the `entries`/`bytes`
-/// gauges.
-pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// A point-in-time view of the cache counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served from a stored or in-flight result.
-    pub hits: u64,
-    /// Requests that had to compute.
-    pub misses: u64,
-    /// Live entries.
-    pub entries: u64,
-    /// Bytes charged against the budget.
-    pub bytes: u64,
-}
+/// The cache. Its `misses` count one per leader compute, failed ones
+/// included — the figure `mbb_serve_cache_misses_total` and
+/// `cluster-stats` report.
+pub struct ResultCache(Cache<Arc<String>>);
 
 impl ResultCache {
     /// A cache bounded by `capacity_bytes` split over `shards` locks.
@@ -109,20 +44,7 @@ impl ResultCache {
     /// counters, so a cacheless server still reports a 0% hit rate rather
     /// than lying.
     pub fn new(capacity_bytes: u64, shards: usize) -> ResultCache {
-        let n = shards.max(1);
-        ResultCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: capacity_bytes / n as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // High bits pick the shard; low bits already vary per key.
-        &self.shards[(key >> 32) as usize % self.shards.len()]
+        ResultCache(Cache::new(capacity_bytes, shards, |v| v.len() as u64 + ENTRY_OVERHEAD))
     }
 
     /// Returns the cached value for `key`, or runs `compute` to fill it.
@@ -133,257 +55,40 @@ impl ResultCache {
         key: u64,
         compute: impl FnOnce() -> Result<String, ServeError>,
     ) -> Result<(Arc<String>, bool), ServeError> {
-        let shard = self.shard(key);
-        loop {
-            let flight = {
-                let mut s = lock(shard);
-                if s.entries.contains_key(&key) {
-                    s.clock += 1;
-                    let stamp = s.clock;
-                    let e = s.entries.get_mut(&key).expect("entry just seen");
-                    e.stamp = stamp;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((Arc::clone(&e.val), true));
-                }
-                match s.inflight.get(&key) {
-                    Some(f) => Arc::clone(f),
-                    None => {
-                        let f = Arc::new(Flight { done: Mutex::new(false), cv: Condvar::new() });
-                        s.inflight.insert(key, Arc::clone(&f));
-                        drop(s);
-                        return self.lead(key, compute);
-                    }
-                }
-            };
-            // Another thread is computing this key: wait for it, then loop
-            // to read the entry (or take over leadership if it failed).
-            let mut done = lock(&flight.done);
-            while !*done {
-                done = wait(&flight.cv, done);
-            }
-            drop(done);
-            let mut s = lock(shard);
-            if s.entries.contains_key(&key) {
-                s.clock += 1;
-                let stamp = s.clock;
-                let e = s.entries.get_mut(&key).expect("entry just seen");
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(&e.val), true));
-            }
-            // Leader failed (or the entry was evicted under extreme
-            // pressure): retry from the top as a potential new leader.
-        }
+        self.get_or_compute_until(key, None, compute)
     }
 
-    /// Leader path: compute outside the shard lock, publish, wake waiters.
-    ///
-    /// The compute runs under `catch_unwind`: if it panics, the in-flight
-    /// entry is still removed and the waiters still woken (they retry as
-    /// new leaders) before the panic resumes — otherwise one panicking
-    /// compute would wedge every concurrent request for the same key.
-    fn lead(
+    /// [`get_or_compute`](Self::get_or_compute) for a request with a wall
+    /// deadline.  The deadline is not part of the key, so an identical
+    /// request already computing may have a longer one (or none): a
+    /// caller that joins it stops waiting at `deadline` with
+    /// `deadline_exceeded`, leaving the compute to its leader.
+    pub fn get_or_compute_until(
         &self,
         key: u64,
+        deadline: Option<Instant>,
         compute: impl FnOnce() -> Result<String, ServeError>,
     ) -> Result<(Arc<String>, bool), ServeError> {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = if faults::fire(Site::CacheCompute) {
-            Ok(Err(ServeError::new(ErrorKind::Internal, "injected fault: cache compute failed")))
-        } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute))
+        let on_wait = || match deadline {
+            Some(d) if Instant::now() >= d => Err(ServeError::new(
+                ErrorKind::DeadlineExceeded,
+                "deadline expired while waiting for an identical in-flight request",
+            )),
+            _ => Ok(()),
         };
-        let shard = self.shard(key);
-        let mut s = lock(shard);
-        let flight = s.inflight.remove(&key).expect("leader owns the flight");
-        let result = match result {
-            Ok(r) => r,
-            Err(payload) => {
-                drop(s);
-                *lock(&flight.done) = true;
-                flight.cv.notify_all();
-                std::panic::resume_unwind(payload);
+        self.0.get_or_compute(key, on_wait, || {
+            if faults::fire(Site::CacheCompute) {
+                return Err(ServeError::new(
+                    ErrorKind::Internal,
+                    "injected fault: cache compute failed",
+                ));
             }
-        };
-        let out = match result {
-            Ok(text) => {
-                let val = Arc::new(text);
-                let cost = val.len() as u64 + ENTRY_OVERHEAD;
-                // Values larger than a whole shard can never fit; serve
-                // them uncached rather than flushing everything else.
-                if self.shard_budget > 0 && cost <= self.shard_budget {
-                    s.clock += 1;
-                    let stamp = s.clock;
-                    s.entries.insert(key, Entry { val: Arc::clone(&val), bytes: cost, stamp });
-                    s.bytes += cost;
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    self.bytes.fetch_add(cost, Ordering::Relaxed);
-                    s.evict_to(self.shard_budget, &self.entries, &self.bytes);
-                }
-                Ok((val, false))
-            }
-            Err(e) => Err(e),
-        };
-        drop(s);
-        *lock(&flight.done) = true;
-        flight.cv.notify_all();
-        out
+            compute().map(Arc::new)
+        })
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::error::ErrorKind;
-
-    #[test]
-    fn fnv_distinguishes_close_inputs() {
-        assert_ne!(fnv1a(b"report\0origin"), fnv1a(b"advise\0origin"));
-        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
-    }
-
-    #[test]
-    fn second_lookup_hits_and_returns_the_same_arc() {
-        let c = ResultCache::new(1 << 20, 4);
-        let (a, hit_a) = c.get_or_compute(42, || Ok("payload".into())).unwrap();
-        let (b, hit_b) = c.get_or_compute(42, || panic!("must not recompute")).unwrap();
-        assert!(!hit_a);
-        assert!(hit_b);
-        assert!(Arc::ptr_eq(&a, &b), "hit must share the miss's bytes");
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let c = ResultCache::new(1 << 20, 4);
-        let e = c.get_or_compute(7, || Err(ServeError::new(ErrorKind::Run, "boom"))).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Run);
-        let (_, hit) = c.get_or_compute(7, || Ok("fine".into())).unwrap();
-        assert!(!hit, "a failed compute must not satisfy later requests");
-        assert_eq!(c.stats().entries, 1);
-    }
-
-    #[test]
-    fn lru_eviction_respects_the_byte_budget() {
-        // One shard, room for about two of these entries.
-        let cost = 100 + ENTRY_OVERHEAD;
-        let c = ResultCache::new(2 * cost + 10, 1);
-        let payload = "x".repeat(100);
-        for key in 0..3u64 {
-            c.get_or_compute(key, || Ok(payload.clone())).unwrap();
-        }
-        let s = c.stats();
-        assert_eq!(s.entries, 2, "{s:?}");
-        assert!(s.bytes <= 2 * cost + 10, "{s:?}");
-        // Key 0 was the oldest and should be gone; 2 should hit.
-        let (_, hit2) = c.get_or_compute(2, || Ok(payload.clone())).unwrap();
-        assert!(hit2);
-        let (_, hit0) = c.get_or_compute(0, || Ok(payload.clone())).unwrap();
-        assert!(!hit0, "oldest entry should have been evicted");
-    }
-
-    #[test]
-    fn hits_refresh_recency() {
-        let cost = 100 + ENTRY_OVERHEAD;
-        let c = ResultCache::new(2 * cost + 10, 1);
-        let payload = "x".repeat(100);
-        c.get_or_compute(0, || Ok(payload.clone())).unwrap();
-        c.get_or_compute(1, || Ok(payload.clone())).unwrap();
-        c.get_or_compute(0, || Ok(payload.clone())).unwrap(); // refresh 0
-        c.get_or_compute(2, || Ok(payload.clone())).unwrap(); // evicts 1
-        let (_, hit0) = c.get_or_compute(0, || Ok(payload.clone())).unwrap();
-        assert!(hit0, "refreshed entry must survive");
-        let (_, hit1) = c.get_or_compute(1, || Ok(payload.clone())).unwrap();
-        assert!(!hit1, "stale entry must be the victim");
-    }
-
-    #[test]
-    fn oversized_values_are_served_but_not_stored() {
-        let c = ResultCache::new(64, 1);
-        let big = "y".repeat(1000);
-        let (v, hit) = c.get_or_compute(5, || Ok(big.clone())).unwrap();
-        assert!(!hit);
-        assert_eq!(*v, big);
-        assert_eq!(c.stats().entries, 0);
-        assert_eq!(c.stats().bytes, 0);
-    }
-
-    #[test]
-    fn concurrent_identical_requests_compute_once() {
-        use std::sync::atomic::AtomicUsize;
-        let c = Arc::new(ResultCache::new(1 << 20, 4));
-        let computes = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = Arc::clone(&c);
-            let computes = Arc::clone(&computes);
-            handles.push(std::thread::spawn(move || {
-                let (v, _) = c
-                    .get_or_compute(99, || {
-                        computes.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(std::time::Duration::from_millis(30));
-                        Ok("slow".into())
-                    })
-                    .unwrap();
-                assert_eq!(*v, "slow");
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(computes.load(Ordering::SeqCst), 1, "single-flight violated");
-        let s = c.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 7);
-    }
-
-    #[test]
-    fn panicking_compute_does_not_wedge_waiters() {
-        let c = Arc::new(ResultCache::new(1 << 20, 1));
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let leader = {
-            let c = Arc::clone(&c);
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    c.get_or_compute(11, || {
-                        gate.wait(); // waiter is queued behind this flight
-                        std::thread::sleep(std::time::Duration::from_millis(30));
-                        panic!("compute exploded");
-                    })
-                }));
-                assert!(r.is_err(), "the panic must propagate to the leader");
-            })
-        };
-        gate.wait();
-        // This call joins the in-flight compute; when the leader panics it
-        // must wake up, retry as the new leader, and succeed.
-        let (v, _) = c.get_or_compute(11, || Ok("recovered".into())).unwrap();
-        assert_eq!(*v, "recovered");
-        leader.join().unwrap();
-        // No stale flight remains: a fresh request is an ordinary hit.
-        let (_, hit) = c.get_or_compute(11, || panic!("must not recompute")).unwrap();
-        assert!(hit);
-    }
-
-    #[test]
-    fn zero_capacity_disables_storage_but_counts() {
-        let c = ResultCache::new(0, 2);
-        c.get_or_compute(1, || Ok("a".into())).unwrap();
-        let (_, hit) = c.get_or_compute(1, || Ok("a".into())).unwrap();
-        assert!(!hit);
-        assert_eq!(c.stats().misses, 2);
-        assert_eq!(c.stats().entries, 0);
+        self.0.stats()
     }
 }

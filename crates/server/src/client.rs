@@ -10,7 +10,8 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use mbb_bench::json::Json;
+use mbb_core::canon::splitmix64;
+use mbb_obs::json::Json;
 
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::{self, Site};
@@ -36,11 +37,20 @@ impl Client {
 
     /// Sends one raw line (newline appended) and reads one line back.
     pub fn roundtrip_raw(&mut self, line: &str) -> Result<String, ServeError> {
+        self.send_line(line)?;
+        self.read_line()
+    }
+
+    fn send_line(&mut self, line: &str) -> Result<(), ServeError> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
+        Ok(())
+    }
+
+    /// Reads one response line, without its line ending.
+    fn read_line(&mut self) -> Result<String, ServeError> {
         let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
+        if self.reader.read_line(&mut resp)? == 0 {
             return Err(ServeError::new(ErrorKind::Io, "server closed the connection"));
         }
         while resp.ends_with('\n') || resp.ends_with('\r') {
@@ -160,58 +170,10 @@ impl RetryPolicy {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// True for error codes worth retrying: overload shedding and transport
 /// or internal failures that a fresh connection may clear.
 fn retryable(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::Busy | ErrorKind::Io | ErrorKind::Internal)
-}
-
-/// Circuit-breaker tuning for [`RetryClient`].
-///
-/// After `threshold` *consecutive* retryable failures the breaker opens:
-/// calls fail fast with `busy` instead of hammering a server that is
-/// already shedding.  After `cooldown` (jittered by `seed`, so a fleet of
-/// breakers reopens staggered) the breaker goes half-open and lets one
-/// probe through; a definitive response closes it, another retryable
-/// failure reopens it for a fresh cooldown.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerPolicy {
-    /// Consecutive retryable failures (whole `call`s, not attempts)
-    /// before the breaker opens.  0 disables the breaker.
-    pub threshold: u32,
-    /// How long the breaker stays open before allowing a probe.
-    pub cooldown: Duration,
-    /// Jitter seed: same seed, same cooldown schedule.
-    pub seed: u64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy { threshold: 0, cooldown: Duration::from_millis(200), seed: 0 }
-    }
-}
-
-impl BreakerPolicy {
-    /// The cooldown before probe number `opened` (0-based count of times
-    /// the breaker has opened): `cooldown` scaled by a seeded factor in
-    /// `[1.0, 1.5)` so synchronised clients probe staggered.
-    fn jittered(&self, opened: u64) -> Duration {
-        let r = splitmix64(self.seed.wrapping_add(0xB0A7).wrapping_mul(opened + 1));
-        self.cooldown.mul_f64(1.0 + (r % 1024) as f64 / 2048.0)
-    }
-}
-
-enum Breaker {
-    Closed { fails: u32 },
-    Open { until: std::time::Instant },
-    HalfOpen,
 }
 
 /// A [`Client`] wrapper that reconnects and retries transient failures —
@@ -219,95 +181,23 @@ enum Breaker {
 /// `internal` errors — under a bounded [`RetryPolicy`].  Definitive
 /// responses (parse/validate errors, deadline overruns, results) are
 /// returned as-is on the first attempt that yields one.
-///
-/// An optional [`BreakerPolicy`] adds a circuit breaker on top: once the
-/// server sheds `threshold` calls in a row, further calls fail fast
-/// locally until a cooldown passes, taking this client out of the
-/// stampede while the server drains.
 pub struct RetryClient {
     addr: SocketAddr,
     timeout: Duration,
     policy: RetryPolicy,
-    breaker_policy: BreakerPolicy,
-    breaker: Breaker,
-    opened: u64,
     conn: Option<Client>,
 }
 
 impl RetryClient {
     /// A retrying client for `addr`; connections are opened lazily and
-    /// re-opened after transport failures.  The circuit breaker starts
-    /// disabled — see [`RetryClient::with_breaker`].
+    /// re-opened after transport failures.
     pub fn new(addr: SocketAddr, timeout: Duration, policy: RetryPolicy) -> RetryClient {
-        RetryClient {
-            addr,
-            timeout,
-            policy,
-            breaker_policy: BreakerPolicy::default(),
-            breaker: Breaker::Closed { fails: 0 },
-            opened: 0,
-            conn: None,
-        }
-    }
-
-    /// Arms the circuit breaker.
-    pub fn with_breaker(mut self, policy: BreakerPolicy) -> RetryClient {
-        self.breaker_policy = policy;
-        self
-    }
-
-    /// True while the breaker is open (calls will fail fast).
-    pub fn breaker_open(&self) -> bool {
-        matches!(self.breaker, Breaker::Open { .. })
-    }
-
-    /// How many times the breaker has opened over this client's life.
-    pub fn breaker_openings(&self) -> u64 {
-        self.opened
-    }
-
-    /// Records a whole-call outcome against the breaker.
-    fn breaker_note(&mut self, failed: bool) {
-        if self.breaker_policy.threshold == 0 {
-            return;
-        }
-        if !failed {
-            self.breaker = Breaker::Closed { fails: 0 };
-            return;
-        }
-        let fails = match self.breaker {
-            Breaker::Closed { fails } => fails + 1,
-            // A failed half-open probe reopens immediately.
-            Breaker::HalfOpen | Breaker::Open { .. } => self.breaker_policy.threshold,
-        };
-        if fails >= self.breaker_policy.threshold {
-            let until = std::time::Instant::now() + self.breaker_policy.jittered(self.opened);
-            self.opened += 1;
-            self.breaker = Breaker::Open { until };
-        } else {
-            self.breaker = Breaker::Closed { fails };
-        }
+        RetryClient { addr, timeout, policy, conn: None }
     }
 
     /// Sends `req`, retrying transient failures; returns the last error
-    /// once the attempt budget is spent.  With the breaker open, fails
-    /// fast with `busy` without touching the network.
+    /// once the attempt budget is spent.
     pub fn call(&mut self, req: &Json) -> Result<Json, ServeError> {
-        if let Breaker::Open { until } = self.breaker {
-            if std::time::Instant::now() < until {
-                return Err(ServeError::new(
-                    ErrorKind::Busy,
-                    "circuit breaker open: failing fast during server overload",
-                ));
-            }
-            self.breaker = Breaker::HalfOpen;
-        }
-        let out = self.call_inner(req);
-        self.breaker_note(out.is_err());
-        out
-    }
-
-    fn call_inner(&mut self, req: &Json) -> Result<Json, ServeError> {
         let mut last = ServeError::new(ErrorKind::Io, "no attempts made");
         for attempt in 0..self.policy.attempts.max(1) {
             if attempt > 0 {
@@ -365,79 +255,6 @@ impl RetryClient {
         }
         out
     }
-
-    /// Sends `req` on up to two connections, the second staggered by
-    /// `stagger`, and returns the first definitive response — hedging
-    /// tail latency when one worker is stalled.  Only for idempotent
-    /// kinds: the server may execute *both* copies, so `shutdown` is
-    /// refused.  Analysis kinds are safe — responses are pure functions
-    /// of the request line (and the loser usually lands in the cache).
-    pub fn call_hedged(&mut self, req: &Json, stagger: Duration) -> Result<Json, ServeError> {
-        if req.get("kind").and_then(|k| k.as_str()) == Some("shutdown") {
-            return Err(ServeError::new(
-                ErrorKind::BadRequest,
-                "refusing to hedge non-idempotent kind \"shutdown\"",
-            ));
-        }
-        if let Breaker::Open { until } = self.breaker {
-            if std::time::Instant::now() < until {
-                return Err(ServeError::new(
-                    ErrorKind::Busy,
-                    "circuit breaker open: failing fast during server overload",
-                ));
-            }
-            self.breaker = Breaker::HalfOpen;
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (delay, tx) in [(Duration::ZERO, tx.clone()), (stagger, tx)] {
-            let (addr, timeout, line) = (self.addr, self.timeout, req.render_compact());
-            std::thread::spawn(move || {
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                let out = (|| {
-                    if faults::fire(Site::ClientConnect) {
-                        return Err(ServeError::new(
-                            ErrorKind::Io,
-                            "injected fault: client connect failed",
-                        ));
-                    }
-                    let mut conn = Client::connect(addr, timeout)?;
-                    let resp = conn.roundtrip_raw(&line)?;
-                    Json::parse(&resp).map_err(|e| {
-                        ServeError::new(ErrorKind::Io, format!("bad response: {e}: {resp}"))
-                    })
-                })();
-                // The receiver may have already taken the other leg's
-                // response and hung up; losing the race is fine.
-                let _ = tx.send(out);
-            });
-        }
-        let mut last = ServeError::new(ErrorKind::Io, "no hedge attempts made");
-        while let Ok(out) = rx.recv() {
-            match out {
-                Ok(resp) => {
-                    let code = resp
-                        .get("error")
-                        .and_then(|e| e.get("code"))
-                        .and_then(|c| c.as_str())
-                        .and_then(|code| ErrorKind::ALL.into_iter().find(|k| k.code() == code));
-                    match code {
-                        Some(kind) if retryable(kind) => {
-                            last = ServeError::new(kind, "retryable error on a hedge leg");
-                        }
-                        _ => {
-                            self.breaker_note(false);
-                            return Ok(resp);
-                        }
-                    }
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_note(true);
-        Err(last)
-    }
 }
 
 /// Attaches (or replaces) the `"id"` field on a request envelope, for
@@ -461,8 +278,7 @@ pub fn with_id(req: &Json, id: u64) -> Json {
 /// connection until responses drain, and a sender that never reads would
 /// deadlock against it.
 pub struct Pipeline {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    conn: Client,
     inflight: usize,
 }
 
@@ -470,12 +286,7 @@ impl Pipeline {
     /// Connects with a read/write timeout (covering the slowest single
     /// analysis expected, not the whole batch).
     pub fn connect(addr: impl ToSocketAddrs, timeout: Duration) -> std::io::Result<Pipeline> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Pipeline { reader, writer: stream, inflight: 0 })
+        Ok(Pipeline { conn: Client::connect(addr, timeout)?, inflight: 0 })
     }
 
     /// Requests currently in flight (sent, not yet received).
@@ -491,8 +302,7 @@ impl Pipeline {
 
     /// Sends one raw request line (newline appended) without waiting.
     pub fn send_raw(&mut self, line: &str) -> Result<(), ServeError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.conn.send_line(line)?;
         self.inflight += 1;
         Ok(())
     }
@@ -505,7 +315,7 @@ impl Pipeline {
             buf.push_str(line);
             buf.push('\n');
         }
-        self.writer.write_all(buf.as_bytes())?;
+        self.conn.writer.write_all(buf.as_bytes())?;
         self.inflight += lines.len();
         Ok(())
     }
@@ -514,14 +324,7 @@ impl Pipeline {
     /// returns it with its echoed id (`None` when the server had none to
     /// echo, e.g. a pre-parse error).
     pub fn recv(&mut self) -> Result<(Option<u64>, Json), ServeError> {
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
-            return Err(ServeError::new(ErrorKind::Io, "server closed the connection"));
-        }
-        while resp.ends_with('\n') || resp.ends_with('\r') {
-            resp.pop();
-        }
+        let resp = self.conn.read_line()?;
         self.inflight = self.inflight.saturating_sub(1);
         let doc = Json::parse(&resp)
             .map_err(|e| ServeError::new(ErrorKind::Io, format!("bad response: {e}: {resp}")))?;
@@ -608,74 +411,6 @@ mod tests {
             (0..10).any(|a| q.backoff(a) != p.backoff(a)),
             "different seeds should jitter differently"
         );
-    }
-
-    fn test_client(threshold: u32) -> RetryClient {
-        RetryClient::new(
-            "127.0.0.1:1".parse().unwrap(),
-            Duration::from_millis(10),
-            RetryPolicy::default(),
-        )
-        .with_breaker(BreakerPolicy { threshold, seed: 7, ..BreakerPolicy::default() })
-    }
-
-    #[test]
-    fn breaker_opens_after_consecutive_failures_and_closes_on_success() {
-        let mut c = test_client(3);
-        c.breaker_note(true);
-        c.breaker_note(true);
-        assert!(!c.breaker_open(), "under threshold");
-        // A success resets the consecutive-failure count.
-        c.breaker_note(false);
-        c.breaker_note(true);
-        c.breaker_note(true);
-        assert!(!c.breaker_open(), "streak was reset");
-        c.breaker_note(true);
-        assert!(c.breaker_open(), "third consecutive failure opens");
-        assert_eq!(c.breaker_openings(), 1);
-        // Open: calls fail fast without touching the network.
-        let e = c.call(&request("report", Some("x"), "")).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::Busy);
-        assert!(e.message.contains("circuit breaker open"), "{}", e.message);
-        // A failed half-open probe reopens for a fresh cooldown.
-        c.breaker = Breaker::HalfOpen;
-        c.breaker_note(true);
-        assert!(c.breaker_open());
-        assert_eq!(c.breaker_openings(), 2);
-        // A successful probe closes fully.
-        c.breaker = Breaker::HalfOpen;
-        c.breaker_note(false);
-        assert!(!c.breaker_open());
-    }
-
-    #[test]
-    fn breaker_disabled_at_threshold_zero() {
-        let mut c = test_client(0);
-        for _ in 0..10 {
-            c.breaker_note(true);
-        }
-        assert!(!c.breaker_open());
-        assert_eq!(c.breaker_openings(), 0);
-    }
-
-    #[test]
-    fn breaker_cooldowns_are_seeded_and_staggered() {
-        let p = BreakerPolicy { threshold: 1, cooldown: Duration::from_millis(100), seed: 1 };
-        for opened in 0..8 {
-            let d = p.jittered(opened);
-            assert!(d >= p.cooldown && d < p.cooldown * 2, "{d:?}");
-            assert_eq!(d, p.jittered(opened), "same seed must replay");
-        }
-        let q = BreakerPolicy { seed: 2, ..p };
-        assert!((0..8).any(|o| q.jittered(o) != p.jittered(o)), "seeds should stagger");
-    }
-
-    #[test]
-    fn hedging_refuses_non_idempotent_kinds() {
-        let mut c = test_client(0);
-        let e = c.call_hedged(&request("shutdown", None, ""), Duration::ZERO).unwrap_err();
-        assert_eq!(e.kind, ErrorKind::BadRequest);
-        assert!(e.message.contains("shutdown"), "{}", e.message);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 
 use crate::ring::Ring;
 

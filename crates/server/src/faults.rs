@@ -162,14 +162,6 @@ fn active() -> Option<Arc<Active>> {
     slot().lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-#[cfg(feature = "faults")]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Draws at `site`; true when the installed plan says this pass faults.
 /// Unarmed, this is one relaxed atomic load and returns false.
 #[cfg(feature = "faults")]
@@ -180,7 +172,7 @@ pub fn fire(site: Site) -> bool {
         return false;
     }
     let draw = a.draws[site.index()].fetch_add(1, Ordering::Relaxed);
-    let r = splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
+    let r = mbb_core::canon::splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
     let hit = (r % 1024) < rate as u64;
     if hit {
         a.fired[site.index()].fetch_add(1, Ordering::Relaxed);
@@ -223,10 +215,12 @@ pub fn handler_delay() -> Option<Duration> {
 /// to tell injected panics from real ones.
 pub const PANIC_PAYLOAD: &str = "injected fault: handler panic";
 
-// The armed plan is process-global, so unit tests anywhere in this crate
-// that install one must not overlap.
-#[cfg(all(test, feature = "faults"))]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+// The armed plan is process-global: unit tests anywhere in this crate
+// that install one hold this lock for writing, and tests whose requests
+// pass fault sites hold it for reading, so no request meets another
+// test's plan.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 #[cfg(all(test, feature = "faults"))]
 mod tests {
@@ -234,7 +228,7 @@ mod tests {
 
     #[test]
     fn unarmed_sites_never_fire() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         for site in Site::ALL {
             assert!(!fire(site));
             assert_eq!(fired(site), 0);
@@ -244,7 +238,7 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_per_seed_and_counted() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         let run = |seed| {
             let _g = install(
                 FaultPlan::new(seed).rate(Site::HandlerPanic, 256).rate(Site::ConnRead, 64),
@@ -267,7 +261,7 @@ mod tests {
 
     #[test]
     fn guard_disarms_and_rates_clamp() {
-        let _t = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         {
             let _g = install(FaultPlan::new(1).rate(Site::CacheCompute, 4096));
             assert!(fire(Site::CacheCompute), "clamped to always-fire");

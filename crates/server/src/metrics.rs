@@ -2,10 +2,10 @@
 //!
 //! Everything is a plain atomic: request counters per kind, error counters
 //! per [`ErrorKind`], queue/worker gauges, and a log-2-bucketed histogram
-//! of per-request on-CPU time (the runner [`mbb_bench::runner::Meter`]'s
-//! `busy()` reading, so background load on the host does not inflate the
-//! latencies).  `render()` emits the Prometheus text exposition format the
-//! `metrics` request returns — scrape-ready, no client library needed.
+//! of per-request on-CPU time (the [`mbb_obs::Meter`] `busy()` reading,
+//! so background load on the host does not inflate the latencies).
+//! `render()` emits the Prometheus text exposition format the `metrics`
+//! request returns — scrape-ready, no client library needed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,7 +244,7 @@ impl Metrics {
         let _ = writeln!(o, "mbb_serve_cache_entries {}", cs.entries);
         let _ = writeln!(o, "# HELP mbb_serve_cache_bytes Result-cache bytes in use.");
         let _ = writeln!(o, "# TYPE mbb_serve_cache_bytes gauge");
-        let _ = writeln!(o, "mbb_serve_cache_bytes {}", cs.bytes);
+        let _ = writeln!(o, "mbb_serve_cache_bytes {}", cs.weight);
 
         let _ = writeln!(o, "# HELP mbb_serve_connections_open Connections currently open.");
         let _ = writeln!(o, "# TYPE mbb_serve_connections_open gauge");

@@ -14,8 +14,8 @@
 //!    remaining deadline is rejected up front instead of burning a worker
 //!    to discover the same thing.
 //! 2. **Priority classes + weighted shedding** — every request kind maps
-//!    to a [`Class`]; each class holds a queue-fullness threshold (the
-//!    `--class-weights` knob), so as the accept queue fills the lowest
+//!    to a [`Class`]; each class holds a queue-fullness threshold
+//!    ([`CLASS_WEIGHTS`]), so as the accept queue fills the lowest
 //!    classes are shed first and `report` keeps flowing while
 //!    `optimize-search` gets a structured `busy`.
 //! 3. **Brown-out controller** — [`Brownout`] tracks EWMAs of queue
@@ -26,6 +26,8 @@
 //!    the result cache in both directions (the PR 5 profile rule), which
 //!    is why the brown-out level is *not* part of the cache key: cached
 //!    bytes are only ever produced and served undegraded.
+
+use std::time::Duration;
 
 use mbb_ir::program::Program;
 
@@ -150,10 +152,14 @@ impl DegradeAction {
     }
 }
 
-/// Default per-class queue-fullness thresholds, percent of `queue_depth`:
-/// a class is shed once the queue is *more* than this full.  Admin is
-/// never shed; search gives way first.
-pub const DEFAULT_CLASS_WEIGHTS: [u8; Class::ALL.len()] = [100, 90, 60, 30];
+/// Per-class queue-fullness thresholds, percent of `queue_depth`: a class
+/// is shed once the queue is *more* than this full.  Admin is never shed;
+/// search gives way first.
+pub const CLASS_WEIGHTS: [u8; Class::ALL.len()] = [100, 90, 60, 30];
+
+/// Per-request busy time the brown-out controller treats as "at target"
+/// (busy pressure 1024).
+pub const BROWNOUT_TARGET: Duration = Duration::from_millis(250);
 
 /// Beam width `optimize-search` is clamped to at brown-out level 2.
 pub const BROWNOUT_BEAM: usize = 2;
@@ -336,7 +342,7 @@ mod tests {
         assert_eq!(Class::of(Kind::Optimize), Class::Optimize);
         assert_eq!(Class::of(Kind::OptimizeSearch), Class::Search);
         // Weights are monotone non-increasing with descending priority.
-        let w = DEFAULT_CLASS_WEIGHTS;
+        let w = CLASS_WEIGHTS;
         assert!(w.windows(2).all(|p| p[0] >= p[1]), "{w:?}");
         assert_eq!(w[Class::Admin.index()], 100, "admin must never be shed");
     }

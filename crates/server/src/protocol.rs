@@ -34,8 +34,8 @@
 
 use std::io::BufRead;
 
-use mbb_bench::json::Json;
 use mbb_core::pipeline::FusionStrategy;
+use mbb_obs::json::Json;
 
 use crate::analysis::{machine_by_name, Options};
 use crate::error::{ErrorKind, ServeError};

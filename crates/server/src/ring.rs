@@ -9,10 +9,11 @@
 //! lives — one miss per unique key across the whole tier.
 //!
 //! Classic consistent hashing with virtual nodes: every peer contributes
-//! [`Ring::VNODES`] points (`fnv1a("<name>\0<replica>")` pushed through a
-//! finalising mix — raw FNV of short, similar names clusters badly in the
-//! high bits that decide ring position) to a sorted circle, and a key is
-//! owned by the first point clockwise from the key's own position.
+//! [`Ring::VNODES`] points (`fnv1a("<name>\0<replica>")` pushed through
+//! SplitMix64's finaliser [`mix64`] — raw FNV of short, similar names
+//! clusters badly in the high bits that decide ring position) to a sorted
+//! circle, and a key is owned by the first point clockwise from the key's
+//! own position.
 //! Virtual nodes smooth the per-peer load to within a few percent of
 //! uniform, and — the property the tier leans on — adding or removing one
 //! peer of N only reassigns the arcs that touch that peer's points, about
@@ -26,16 +27,7 @@
 //! when a peer is down — the ring never reshuffles at runtime, which is
 //! what keeps "who owns key `k`" a pure function of configuration.
 
-use mbb_core::canon::fnv1a;
-
-/// SplitMix64-style finaliser: full-avalanche mixing over the FNV value,
-/// so vnode points land uniformly on the circle even for short, nearly
-/// identical peer names.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use mbb_core::canon::{fnv1a, mix64};
 
 /// A consistent-hash ring over named peers.
 #[derive(Clone, Debug)]
@@ -63,7 +55,7 @@ impl Ring {
             points.reserve(names.len() * Ring::VNODES);
             for (idx, name) in names.iter().enumerate() {
                 for replica in 0..Ring::VNODES {
-                    points.push((mix(fnv1a(format!("{name}\0{replica}").as_bytes())), idx));
+                    points.push((mix64(fnv1a(format!("{name}\0{replica}").as_bytes())), idx));
                 }
             }
             points.sort_unstable();
@@ -176,6 +168,20 @@ mod tests {
         // d owned roughly a quarter; the bound proptest pins is ≤ 2/N.
         assert!(moved <= total * 2 / 4, "{moved}/{total} keys moved");
         assert!(moved > 0, "d must have owned something");
+    }
+
+    #[test]
+    fn ring_points_are_pinned() {
+        // Nodes of every tier must agree on ownership, so a change to the
+        // hash or the mixer that moves ring points must show up here.
+        let ring = Ring::new(&["127.0.0.1:7461", "127.0.0.1:7462", "127.0.0.1:7463"]);
+        let owners: String = (0..32u64)
+            .map(|i| char::from(b'0' + ring.owner(i * (u64::MAX / 32)).unwrap() as u8))
+            .collect();
+        assert_eq!(owners, "01201021122000011202212002122000");
+        assert_eq!(ring.points.len(), 3 * Ring::VNODES);
+        assert_eq!(ring.points[0].0, 0x0093_60be_5369_3f30);
+        assert_eq!(ring.points[ring.points.len() - 1].0, 0xfa84_a982_6acb_75c1);
     }
 
     #[test]

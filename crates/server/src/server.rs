@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
 use mbb_ir::budget::Budget;
+use mbb_obs::json::Json;
 
 use crate::analysis;
 use crate::cache::ResultCache;
@@ -47,7 +47,7 @@ use crate::faults::{self, Site};
 use crate::metrics::Metrics;
 use crate::overload::{
     self, Brownout, BrownoutConfig, Class, DegradeAction, Reason, BROWNOUT_BEAM, BROWNOUT_STEPS,
-    DEFAULT_CLASS_WEIGHTS,
+    BROWNOUT_TARGET, CLASS_WEIGHTS,
 };
 use crate::poll::Poller;
 use crate::protocol::{self, Kind, RequestBudget};
@@ -82,21 +82,10 @@ pub struct Config {
     /// Wall-deadline cap per request, with the same tighten-only
     /// interaction with the envelope's `budget.deadline_ms`.
     pub request_deadline: Option<Duration>,
-    /// Cost-based admission: reject a request whose estimated cost (from
-    /// nest trip counts) cannot fit its remaining wall deadline, instead
-    /// of burning a worker to discover the same overrun.
-    pub admission: bool,
     /// Brown-out controller: under sustained pressure, progressively drop
     /// profile splicing, clamp search width/depth, and shed the lowest
     /// class (see `overload::Brownout`).
     pub brownout: bool,
-    /// Per-[`Class`] queue-fullness thresholds, percent of `queue_depth`:
-    /// a class is shed once the queue is more than this full.  Highest
-    /// priority first; `[100, …]` keeps admin traffic unsheddable.
-    pub class_weights: [u8; Class::ALL.len()],
-    /// Per-request busy time treated as "at target" (pressure 1.0) by the
-    /// brown-out controller's busy-time EWMA.
-    pub brownout_target: Duration,
     /// In-flight requests allowed per connection before the event loop
     /// stops reading it (pipelining backpressure).
     pub pipeline_depth: usize,
@@ -122,10 +111,7 @@ impl Default for Config {
             // but a guaranteed stop for an effectively unbounded nest.
             request_max_steps: Some(1 << 32),
             request_deadline: None,
-            admission: true,
             brownout: true,
-            class_weights: DEFAULT_CLASS_WEIGHTS,
-            brownout_target: Duration::from_millis(250),
             pipeline_depth: 32,
             peers: Vec::new(),
             advertise: String::new(),
@@ -244,6 +230,27 @@ fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> std::os::fd::RawFd {
 #[cfg(not(unix))]
 fn raw_fd<T>(_t: &T) -> i32 {
     0 // the scan poller never dereferences fds
+}
+
+/// Runs [`serve`] on a new thread and waits until it listens: the
+/// in-process server of the integration tests, `mbb-load --spawn` and the
+/// cluster smoke's single-node reference.  Returns the bound address, the
+/// handle and the serving thread, which ends once the server drains.
+pub fn spawn(cfg: Config) -> std::io::Result<(SocketAddr, Handle, std::thread::JoinHandle<()>)> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let ready = tx.clone();
+        // `serve` fails only before it listens: hand the error back.
+        if let Err(e) = serve(cfg, move |addr, handle| {
+            let _ = ready.send(Ok((addr, handle)));
+        }) {
+            let _ = tx.send(Err(e));
+        }
+    });
+    let (addr, handle) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .map_err(|_| std::io::Error::other("server did not come up within 10 s"))??;
+    Ok((addr, handle, thread))
 }
 
 /// Runs the service until shut down.  `on_ready` receives the bound
@@ -667,7 +674,7 @@ fn handle_job(job: &Job, shared: &Shared) {
 /// is caught here and answered with a structured `internal` error, so the
 /// connection and worker keep serving.
 fn process_line(line: &[u8], shared: &Shared, queue_age: Duration) -> (String, bool) {
-    let meter = mbb_bench::runner::Meter::start();
+    let meter = mbb_obs::Meter::start();
     // The request's `"id"`, captured as soon as it parses so even error
     // and panic responses pair up under pipelining.
     let mut rid: Option<String> = None;
@@ -702,7 +709,7 @@ fn observe_pressure(shared: &Shared, busy: Duration) {
     }
     let cap = shared.cfg.queue_depth.max(1) as u64;
     let queue_frac = shared.metrics.queue_depth.load(Ordering::Relaxed).saturating_mul(1024) / cap;
-    let target = shared.cfg.brownout_target.as_nanos().max(1) as u64;
+    let target = BROWNOUT_TARGET.as_nanos() as u64;
     let busy_ns = busy.as_nanos().min(u64::MAX as u128) as u64;
     let busy_frac = busy_ns.saturating_mul(1024) / target;
     let level = lock(&shared.overload).observe(queue_frac, busy_frac);
@@ -782,7 +789,7 @@ fn respond(
             // threshold, that class is refused with a structured busy —
             // low classes give way first, admin traffic never does.
             let depth = shared.metrics.queue_depth.load(Ordering::Relaxed);
-            let weight = u64::from(shared.cfg.class_weights[class.index()]);
+            let weight = u64::from(CLASS_WEIGHTS[class.index()]);
             if depth * 100 > (shared.cfg.queue_depth as u64) * weight {
                 shared.metrics.count_shed(class, Reason::Saturation);
                 return Err(ServeError::new(
@@ -822,24 +829,25 @@ fn respond(
                 }
                 opts.budget.wall = Some(wall - queue_age);
             }
+            // Where the remaining wall budget runs out: a request that joins
+            // an identical in-flight compute stops waiting for it here.
+            let deadline = opts.budget.wall.map(|wall| Instant::now() + wall);
             opts.profile = req.profile;
             opts.engine = req.engine;
             let prog = analysis::load(src)?;
             // Cost-based admission: a request that cannot possibly finish
             // inside its remaining deadline is rejected up front.
-            if shared.cfg.admission {
-                if let Some(remaining) = opts.budget.wall {
-                    let est = overload::estimate_cost_ms(&prog, kind);
-                    if Duration::from_millis(est) > remaining {
-                        shared.metrics.count_shed(class, Reason::Admission);
-                        return Err(ServeError::new(
-                            ErrorKind::DeadlineExceeded,
-                            format!(
-                                "admission: estimated cost ~{est}ms cannot fit the remaining {}ms deadline",
-                                remaining.as_millis()
-                            ),
-                        ));
-                    }
+            if let Some(remaining) = opts.budget.wall {
+                let est = overload::estimate_cost_ms(&prog, kind);
+                if Duration::from_millis(est) > remaining {
+                    shared.metrics.count_shed(class, Reason::Admission);
+                    return Err(ServeError::new(
+                        ErrorKind::DeadlineExceeded,
+                        format!(
+                            "admission: estimated cost ~{est}ms cannot fit the remaining {}ms deadline",
+                            remaining.as_millis()
+                        ),
+                    ));
                 }
             }
             // Search width/depth come from the flags (and are part of the
@@ -943,7 +951,7 @@ fn respond(
                     }
                 }
             }
-            let (val, hit) = shared.cache.get_or_compute(key, || {
+            let (val, hit) = shared.cache.get_or_compute_until(key, deadline, || {
                 let a = compute()?;
                 Ok(Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact())
             })?;
@@ -956,8 +964,15 @@ fn respond(
 mod tests {
     use super::*;
 
+    /// Runs one request line as a worker does, never under another
+    /// test's fault plan.
+    fn run(shared: &Shared, line: &str, queue_age: Duration) -> (String, bool) {
+        let _faults = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
+        process_line(line.as_bytes(), shared, queue_age)
+    }
+
     fn process(shared: &Shared, line: &str) -> Json {
-        let (resp, _) = process_line(line.as_bytes(), shared, Duration::ZERO);
+        let (resp, _) = run(shared, line, Duration::ZERO);
         Json::parse(&resp).expect("response is valid JSON")
     }
 
@@ -1030,11 +1045,8 @@ mod tests {
     #[test]
     fn shutdown_request_flags_a_drain() {
         let shared = test_shared();
-        let (resp, drain) = process_line(
-            b"{\"schema\":\"mbb-serve/1\",\"kind\":\"shutdown\"}",
-            &shared,
-            Duration::ZERO,
-        );
+        let (resp, drain) =
+            run(&shared, "{\"schema\":\"mbb-serve/1\",\"kind\":\"shutdown\"}", Duration::ZERO);
         assert!(drain);
         let doc = Json::parse(&resp).unwrap();
         assert_eq!(doc.get("result").and_then(|r| r.get("draining")), Some(&Json::Bool(true)));
@@ -1166,6 +1178,48 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_stops_at_its_own_deadline_not_the_leaders() {
+        // `budget` is not part of the cache key, so a request with a short
+        // deadline can join the compute of an identical unbounded request.
+        let _faults = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
+        let shared = test_shared();
+        let req = protocol::parse_request(REQ).unwrap();
+        let opts = req.flags.to_options(&req.machine).unwrap();
+        let prog = analysis::load(req.program.as_deref().unwrap()).unwrap();
+        let key = mbb_core::canon::cache_key(
+            req.kind.as_str(),
+            &opts.machine.name,
+            &req.flags.key(),
+            &analysis::canonical_source(&prog),
+        );
+        // The unbounded leader holds the key until released (or 5 s pass).
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (started, leading) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                shared.cache.get_or_compute(key, || {
+                    started.send(()).unwrap();
+                    let _ = held.recv_timeout(Duration::from_secs(5));
+                    Ok("{}".to_string())
+                })
+            })
+        };
+        leading.recv().unwrap();
+        let tight = REQ
+            .replace("\"kind\":\"report\"", "\"kind\":\"report\",\"budget\":{\"deadline_ms\":50}");
+        let t = Instant::now();
+        let (resp, _) = process_line(tight.as_bytes(), &shared, Duration::ZERO);
+        let waited = t.elapsed();
+        let resp = Json::parse(&resp).unwrap();
+        let _ = release.send(());
+        leader.join().unwrap().unwrap();
+        assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"), "{resp:?}");
+        assert!(waited < Duration::from_millis(2500), "waited {waited:?} on a 50 ms deadline");
+        assert_eq!(shared.cache.stats().hits, 0, "an abandoned wait is not a hit");
+    }
+
+    #[test]
     fn effective_budget_takes_the_tighter_axis() {
         let cfg = Config {
             request_max_steps: Some(1000),
@@ -1186,20 +1240,23 @@ mod tests {
     #[cfg(feature = "faults")]
     #[test]
     fn injected_handler_panic_yields_internal_error_and_counts() {
-        let _t = crate::faults::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _t = crate::faults::TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         let shared = test_shared();
+        let process = |line: &str| {
+            Json::parse(&process_line(line.as_bytes(), &shared, Duration::ZERO).0).unwrap()
+        };
         let resp = {
             let _g = crate::faults::install(
                 crate::faults::FaultPlan::new(3).rate(Site::HandlerPanic, 1024),
             );
-            process(&shared, REQ)
+            process(REQ)
         };
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
         assert_eq!(error_code(&resp).as_deref(), Some("internal"), "{resp:?}");
         assert_eq!(shared.metrics.panics_total.load(Ordering::Relaxed), 1);
         assert_eq!(shared.metrics.errors_of(ErrorKind::Internal), 1);
         // Disarmed again: the same request now succeeds on the same state.
-        let ok = process(&shared, REQ);
+        let ok = process(REQ);
         assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
     }
 
@@ -1275,7 +1332,7 @@ mod tests {
     #[test]
     fn optimize_search_round_trips_and_repeats_byte_identically_from_cache() {
         let shared = test_shared();
-        let (first_raw, _) = process_line(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
+        let (first_raw, _) = run(&shared, SEARCH_REQ, Duration::ZERO);
         let first = Json::parse(&first_raw).expect("valid JSON");
         assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
         assert_eq!(first.get("cached"), Some(&Json::Bool(false)));
@@ -1289,7 +1346,7 @@ mod tests {
 
         // A second identical request is a cache hit, and the response
         // bytes differ from the miss only in the `cached` flag.
-        let (second_raw, _) = process_line(SEARCH_REQ.as_bytes(), &shared, Duration::ZERO);
+        let (second_raw, _) = run(&shared, SEARCH_REQ, Duration::ZERO);
         let second = Json::parse(&second_raw).expect("valid JSON");
         assert_eq!(second.get("cached"), Some(&Json::Bool(true)), "{second:?}");
         assert_eq!(
@@ -1311,7 +1368,7 @@ mod tests {
         // the expired request ever reached `analysis::load`, the answer
         // would be a `validate` error, not `deadline_exceeded`.
         let invalid = "{\"schema\":\"mbb-serve/1\",\"kind\":\"report\",\"program\":\"array a[16]\\nfor i = 0, 3\\n  for i = 0, 3\\n    a[i] = 1\\n  end for\\nend for\\n\"}";
-        let (resp, _) = process_line(invalid.as_bytes(), &shared, Duration::from_millis(200));
+        let (resp, _) = run(&shared, invalid, Duration::from_millis(200));
         let doc = Json::parse(&resp).unwrap();
         assert_eq!(error_code(&doc).as_deref(), Some("deadline_exceeded"), "{doc:?}");
         assert_eq!(
@@ -1336,16 +1393,16 @@ mod tests {
             request_deadline: Some(Duration::from_millis(50)),
             ..Config::default()
         }));
-        let (resp, _) = process_line(BIG_REQ.as_bytes(), &shared, Duration::from_millis(40));
+        let (resp, _) = run(&shared, BIG_REQ, Duration::from_millis(40));
         let doc = Json::parse(&resp).unwrap();
         assert_eq!(error_code(&doc).as_deref(), Some("deadline_exceeded"), "{doc:?}");
         assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), 1);
     }
 
     #[test]
-    fn admission_rejects_oversized_programs_and_can_be_disabled() {
+    fn admission_rejects_oversized_programs() {
         let cfg = Config { request_deadline: Some(Duration::from_millis(1)), ..Config::default() };
-        let shared = Arc::new(Shared::new(cfg.clone()));
+        let shared = Arc::new(Shared::new(cfg));
         let resp = process(&shared, BIG_REQ);
         assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"), "{resp:?}");
         assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), 1);
@@ -1356,13 +1413,6 @@ mod tests {
             .unwrap_or_default()
             .to_string();
         assert!(msg.starts_with("admission:"), "{msg}");
-
-        // With admission off the request runs and overruns the wall
-        // deadline the hard way instead.
-        let shared = Arc::new(Shared::new(Config { admission: false, ..cfg }));
-        let resp = process(&shared, BIG_REQ);
-        assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"), "{resp:?}");
-        assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), 0);
     }
 
     #[test]
@@ -1444,7 +1494,7 @@ mod tests {
             "\"options\":{\"beam\":2,\"search_steps\":2}",
             "\"options\":{\"beam\":4,\"search_steps\":5}",
         );
-        let (baseline_raw, _) = process_line(wide.as_bytes(), &shared, Duration::ZERO);
+        let (baseline_raw, _) = run(&shared, &wide, Duration::ZERO);
         let baseline = Json::parse(&baseline_raw).unwrap();
         assert_eq!(baseline.get("ok"), Some(&Json::Bool(true)), "{baseline:?}");
 
@@ -1480,7 +1530,7 @@ mod tests {
 
         // Back at level 0 the warm entry replays byte-identically.
         shared.metrics.brownout_level.store(0, Ordering::Relaxed);
-        let (hit_raw, _) = process_line(wide.as_bytes(), &shared, Duration::ZERO);
+        let (hit_raw, _) = run(&shared, &wide, Duration::ZERO);
         assert_eq!(
             baseline_raw.replace("\"cached\":false", "\"cached\":true"),
             hit_raw,

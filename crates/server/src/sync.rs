@@ -1,7 +1,7 @@
 //! Poison-tolerant lock helpers.
 //!
-//! The server's shared state (dispatch queue, cache shards, in-flight
-//! registry) is only ever mutated through small, panic-free critical
+//! The server's shared state (dispatch queue, connection writers, overload
+//! controller) is only ever mutated through small, panic-free critical
 //! sections, so a poisoned mutex carries no torn invariants — the poison
 //! flag just records that *some* thread panicked while holding the lock.
 //! Propagating it (the `.unwrap()` the standard library nudges toward)
@@ -23,11 +23,6 @@ pub(crate) fn wait_timeout<'a, T>(
     dur: Duration,
 ) -> MutexGuard<'a, T> {
     cv.wait_timeout(guard, dur).unwrap_or_else(|p| p.into_inner()).0
-}
-
-/// [`Condvar::wait`] with the same poison recovery as [`lock`].
-pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]

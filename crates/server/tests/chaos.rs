@@ -20,13 +20,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{self, expect_ok, Client, Pipeline, RetryClient, RetryPolicy};
 use mbb_server::faults::{self, FaultPlan, Site};
-use mbb_server::server::{serve, Config, Handle};
+use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
@@ -34,9 +33,10 @@ const SAXPY: &str = "program saxpy\narray x[512]\narray y[512]\nscalar s = 0  //
 /// ~2.6M innermost iterations — only ever sent with a tight step budget.
 const HUGE: &str = "program huge\narray a[8]\nscalar s = 0  // printed\nfor i = 0, 327679\n  for j = 0, 7\n    s = (s + a[j])\n  end for\nend for\n";
 
-/// Serialises the tests that arm the process-global fault plan —
-/// concurrent `faults::install` calls panic by design, and an armed plan
-/// would bleed into the other test's server anyway.
+/// Serialises the tests that arm the process-global fault plan, and the
+/// one that must run with none armed — concurrent `faults::install` calls
+/// panic by design, and an armed plan would bleed into the other test's
+/// server anyway.
 static ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const THREADS: usize = 4;
@@ -62,15 +62,6 @@ fn quiet_injected_panics() {
             }
         }));
     });
-}
-
-fn start(cfg: Config) -> (SocketAddr, Handle, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        serve(cfg, move |addr, handle| tx.send((addr, handle)).unwrap()).unwrap();
-    });
-    let (addr, handle) = rx.recv_timeout(Duration::from_secs(10)).expect("server came up");
-    (addr, handle, thread)
 }
 
 fn scrape_counter(text: &str, name: &str) -> u64 {
@@ -201,7 +192,8 @@ fn run_seed(seed: u64) {
     let _arm = ARM_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let started = Instant::now();
     let (addr, handle, server) =
-        start(Config { workers: 3, read_timeout: Duration::from_secs(10), ..Config::default() });
+        spawn(Config { workers: 3, read_timeout: Duration::from_secs(10), ..Config::default() })
+            .expect("server came up");
 
     let plan = FaultPlan::new(seed)
         .rate(Site::HandlerPanic, 40)
@@ -289,7 +281,10 @@ fn run_seed(seed: u64) {
 #[test]
 fn budget_outcomes_are_engine_invariant() {
     quiet_injected_panics();
-    let (addr, handle, server) = start(Config { workers: 2, ..Config::default() });
+    // No plan may be armed by a concurrent storm while this runs.
+    let _arm = ARM_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let (addr, handle, server) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
     let mut client = Client::connect(addr, Duration::from_secs(10)).expect("connect");
 
     for kind in ["report", "optimize"] {
@@ -344,7 +339,8 @@ fn pipelined_storm_pairs_every_id_under_connection_faults() {
     quiet_injected_panics();
     let _arm = ARM_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let (addr, handle, server) =
-        start(Config { workers: 3, pipeline_depth: 32, ..Config::default() });
+        spawn(Config { workers: 3, pipeline_depth: 32, ..Config::default() })
+            .expect("server came up");
     let guard = faults::install(
         FaultPlan::new(0x51DE).rate(Site::ConnRead, 60).rate(Site::ConnWriteShort, 60),
     );

@@ -5,12 +5,11 @@
 //! against the Prometheus counters, and local fallback when a peer dies.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc;
 use std::time::Duration;
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{expect_ok, Client};
-use mbb_server::server::{serve, Config, Handle};
+use mbb_server::server::{spawn, Config, Handle};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
@@ -26,7 +25,6 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
 }
 
 fn start_node(addr: SocketAddr, peers: Vec<String>) -> (Handle, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
     let cfg = Config {
         addr: addr.to_string(),
         advertise: addr.to_string(),
@@ -34,10 +32,7 @@ fn start_node(addr: SocketAddr, peers: Vec<String>) -> (Handle, std::thread::Joi
         workers: 2,
         ..Config::default()
     };
-    let thread = std::thread::spawn(move || {
-        serve(cfg, move |_addr, handle| tx.send(handle).unwrap()).unwrap();
-    });
-    let handle = rx.recv_timeout(Duration::from_secs(10)).expect("node came up");
+    let (_, handle, thread) = spawn(cfg).expect("node came up");
     (handle, thread)
 }
 

@@ -9,24 +9,14 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{expect_ok, request, Client};
-use mbb_server::server::{serve, Config, Handle};
+use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
-
-fn start(cfg: Config) -> (SocketAddr, Handle, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        serve(cfg, move |addr, handle| tx.send((addr, handle)).unwrap()).unwrap();
-    });
-    let (addr, handle) = rx.recv_timeout(Duration::from_secs(10)).expect("server came up");
-    (addr, handle, thread)
-}
 
 fn connect(addr: SocketAddr) -> Client {
     Client::connect(addr, Duration::from_secs(60)).expect("connect")
@@ -55,7 +45,8 @@ fn with_options(req: &Json, beam: u64, steps: u64) -> Json {
 /// degradation over real sockets exactly as the unit tests predict.
 #[test]
 fn pinned_brownout_levels_shed_and_degrade_over_the_wire() {
-    let (addr, handle, thread) = start(Config { workers: 1, brownout: false, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, brownout: false, ..Config::default() }).expect("server came up");
     let m = handle.metrics();
     let mut c = connect(addr);
 
@@ -123,7 +114,8 @@ fn pinned_brownout_levels_shed_and_degrade_over_the_wire() {
 /// A health round-trip reports ok/level-0 on a quiet server.
 #[test]
 fn health_kind_round_trips_on_a_quiet_server() {
-    let (addr, handle, thread) = start(Config { workers: 1, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, ..Config::default() }).expect("server came up");
     let mut c = connect(addr);
     let h = health(&mut c);
     assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"), "{h:?}");
@@ -141,12 +133,13 @@ fn health_kind_round_trips_on_a_quiet_server() {
 fn queue_wait_counts_against_the_deadline() {
     use mbb_server::faults::{install, FaultPlan, Site};
 
-    let (addr, handle, thread) = start(Config {
+    let (addr, handle, thread) = spawn(Config {
         workers: 1,
         request_deadline: Some(Duration::from_millis(60)),
         brownout: false,
         ..Config::default()
-    });
+    })
+    .expect("server came up");
     let _g = install(
         FaultPlan::new(0x5EED).rate(Site::WorkerStall, 1024).delay(Duration::from_millis(250)),
     );
@@ -181,7 +174,8 @@ fn queue_wait_counts_against_the_deadline() {
 fn capacity_storm_escalates_and_recovers_to_level_zero() {
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
-    let (addr, handle, thread) = start(Config { workers: 1, queue_depth: 4, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, queue_depth: 4, ..Config::default() }).expect("server came up");
     let mut c = connect(addr);
 
     // Warm the cache at level 0.

@@ -4,27 +4,17 @@
 
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::client::{self, Pipeline};
-use mbb_server::server::{serve, Config, Handle};
+use mbb_server::server::{spawn, Config};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
 const SAXPY: &str = "program saxpy\narray x[512]\narray y[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  y[i] = (y[i] + (2 * x[i]))\nend for\nfor j = 0, 511\n  s = (s + y[j])\nend for\n";
-
-fn start(cfg: Config) -> (SocketAddr, Handle, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        serve(cfg, move |addr, handle| tx.send((addr, handle)).unwrap()).unwrap();
-    });
-    let (addr, handle) = rx.recv_timeout(Duration::from_secs(10)).expect("server came up");
-    (addr, handle, thread)
-}
 
 /// Regression for the idle-timeout semantics: two envelopes arriving in
 /// one TCP segment must *both* be answered.  The connection has no
@@ -35,7 +25,8 @@ fn start(cfg: Config) -> (SocketAddr, Handle, std::thread::JoinHandle<()>) {
 #[test]
 fn two_envelopes_in_one_tcp_segment_are_both_answered_before_quiescence() {
     let (addr, handle, thread) =
-        start(Config { workers: 2, read_timeout: Duration::from_millis(700), ..Config::default() });
+        spawn(Config { workers: 2, read_timeout: Duration::from_millis(700), ..Config::default() })
+            .expect("server came up");
 
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();
@@ -80,7 +71,8 @@ fn two_envelopes_in_one_tcp_segment_are_both_answered_before_quiescence() {
 #[test]
 fn thirty_two_in_flight_requests_pair_up_by_id() {
     let (addr, handle, thread) =
-        start(Config { workers: 3, pipeline_depth: 32, ..Config::default() });
+        spawn(Config { workers: 3, pipeline_depth: 32, ..Config::default() })
+            .expect("server came up");
 
     let programs = [SUM, FIG7, SAXPY];
     let kinds = ["report", "advise", "trace-stats", "optimize"];
@@ -137,7 +129,8 @@ fn thirty_two_in_flight_requests_pair_up_by_id() {
 #[test]
 fn bursts_past_the_pipeline_depth_backpressure_instead_of_failing() {
     let (addr, handle, thread) =
-        start(Config { workers: 2, pipeline_depth: 4, queue_depth: 64, ..Config::default() });
+        spawn(Config { workers: 2, pipeline_depth: 4, queue_depth: 64, ..Config::default() })
+            .expect("server came up");
 
     let lines: Vec<String> = (0..24u64)
         .map(|i| {
@@ -162,16 +155,8 @@ fn shared_server() -> SocketAddr {
     use std::sync::OnceLock;
     static ADDR: OnceLock<SocketAddr> = OnceLock::new();
     *ADDR.get_or_init(|| {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            serve(
-                Config { workers: 2, pipeline_depth: 8, ..Config::default() },
-                move |addr, handle| tx.send((addr, handle)).unwrap(),
-            )
-            .unwrap();
-        });
-        let (addr, _handle) = rx.recv_timeout(Duration::from_secs(10)).expect("server came up");
-        addr
+        let cfg = Config { workers: 2, pipeline_depth: 8, ..Config::default() };
+        spawn(cfg).expect("server came up").0
     })
 }
 

@@ -1,32 +1,21 @@
 //! End-to-end tests against a live in-process server: real TCP sockets,
-//! real worker pool, real cache.  `serve` runs on a helper thread and
-//! hands back its bound address and [`Handle`] through `on_ready`; the
-//! handle's direct metrics access lets the backpressure test observe
+//! real worker pool, real cache.  `spawn` runs the server on its own
+//! thread and hands back its bound address and `Handle`; the handle's
+//! direct metrics access lets the backpressure test observe
 //! queue saturation deterministically instead of racing the request path.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
 use std::time::Duration;
 
-use mbb_bench::json::Json;
+use mbb_obs::json::Json;
 use mbb_server::analysis;
 use mbb_server::client::{expect_ok, Client};
-use mbb_server::server::{serve, Config, Handle};
+use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
 const FIG7: &str = "program fig7\narray res[512]\narray data[512]\nscalar sum = 0  // printed\nfor i = 0, 511\n  res[i] = (res[i] + data[i])\nend for\nfor j = 0, 511\n  sum = (sum + res[j])\nend for\n";
 const SAXPY: &str = "program saxpy\narray x[512]\narray y[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  y[i] = (y[i] + (2 * x[i]))\nend for\nfor j = 0, 511\n  s = (s + y[j])\nend for\n";
-
-/// Starts a server; returns its address, handle, and the join guard.
-fn start(cfg: Config) -> (SocketAddr, Handle, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::spawn(move || {
-        serve(cfg, move |addr, handle| tx.send((addr, handle)).unwrap()).unwrap();
-    });
-    let (addr, handle) = rx.recv_timeout(Duration::from_secs(10)).expect("server came up");
-    (addr, handle, thread)
-}
 
 fn connect(addr: SocketAddr) -> Client {
     Client::connect(addr, Duration::from_secs(60)).expect("connect")
@@ -53,7 +42,8 @@ fn serial(kind: &str, program: &str, machine: &str) -> Json {
 
 #[test]
 fn concurrent_mixed_clients_match_serial_output_byte_for_byte() {
-    let (addr, handle, thread) = start(Config { workers: 4, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 4, ..Config::default() }).expect("server came up");
 
     // The mixed workload: every (kind, program, machine) pairing, with
     // the serial expectation computed once up front.
@@ -105,7 +95,8 @@ fn concurrent_mixed_clients_match_serial_output_byte_for_byte() {
 
 #[test]
 fn repeated_request_is_a_hit_with_bit_identical_bytes() {
-    let (addr, handle, thread) = start(Config { workers: 2, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
     let mut c = connect(addr);
 
     let first = c
@@ -129,7 +120,8 @@ fn repeated_request_is_a_hit_with_bit_identical_bytes() {
 
 #[test]
 fn all_duplicate_workload_exceeds_ninety_percent_hit_rate() {
-    let (addr, handle, thread) = start(Config { workers: 4, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 4, ..Config::default() }).expect("server came up");
 
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -155,12 +147,13 @@ fn all_duplicate_workload_exceeds_ninety_percent_hit_rate() {
 
 #[test]
 fn queue_saturation_sheds_with_busy_responses_and_never_hangs() {
-    let (addr, handle, thread) = start(Config {
+    let (addr, handle, thread) = spawn(Config {
         workers: 1,
         queue_depth: 2,
         read_timeout: Duration::from_secs(30),
         ..Config::default()
-    });
+    })
+    .expect("server came up");
 
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
@@ -236,11 +229,12 @@ const HUGE: &str = "program huge\narray a[8]\nscalar s = 0  // printed\nfor i = 
 
 #[test]
 fn unbounded_optimize_gets_deadline_exceeded_and_the_worker_survives() {
-    let (addr, handle, thread) = start(Config {
+    let (addr, handle, thread) = spawn(Config {
         workers: 1, // the budgeted request and the follow-ups share one worker
         request_max_steps: Some(4096),
         ..Config::default()
-    });
+    })
+    .expect("server came up");
     let mut c = connect(addr);
 
     let resp = c.analyze("optimize", HUGE, "origin").unwrap();
@@ -261,7 +255,8 @@ fn unbounded_optimize_gets_deadline_exceeded_and_the_worker_survives() {
 
 #[test]
 fn request_envelope_budget_and_wall_deadline_trip_per_request() {
-    let (addr, handle, thread) = start(Config { workers: 2, ..Config::default() });
+    let (addr, handle, thread) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
     let mut c = connect(addr);
 
     // A per-request step quota trips even though the server cap is loose.
@@ -287,7 +282,8 @@ fn request_envelope_budget_and_wall_deadline_trip_per_request() {
 
 #[test]
 fn shutdown_request_drains_and_serve_returns() {
-    let (addr, _handle, thread) = start(Config { workers: 2, ..Config::default() });
+    let (addr, _handle, thread) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
     let mut c = connect(addr);
     expect_ok(&c.analyze("report", SUM, "origin").unwrap()).unwrap();
     c.shutdown().unwrap();
@@ -308,11 +304,12 @@ fn shutdown_request_drains_and_serve_returns() {
 
 #[test]
 fn idle_timeout_shuts_the_server_down_on_its_own() {
-    let (addr, _handle, thread) = start(Config {
+    let (addr, _handle, thread) = spawn(Config {
         workers: 1,
         idle_timeout: Some(Duration::from_millis(200)),
         ..Config::default()
-    });
+    })
+    .expect("server came up");
     let mut c = connect(addr);
     expect_ok(&c.analyze("report", SUM, "origin").unwrap()).unwrap();
     drop(c);

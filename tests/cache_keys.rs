@@ -3,8 +3,8 @@
 //! The server's result cache, the CLI (which reuses the server's
 //! analysis layer), and the search crate's score cache all key on
 //! `fnv1a(kind \0 machine \0 flags \0 canonical-program)`.  Historically
-//! the server carried its own private fnv1a and canonicalizer; they now
-//! delegate to `mbb_core::canon`, and this test pins the agreement
+//! the server carried its own private fnv1a and canonicalizer; all three
+//! now key through `mbb_core::canon`, and this test pins the agreement
 //! byte-for-byte so the three can never drift apart again — a drift
 //! would silently split the caches (correct but slow) or, worse, collide
 //! keys across kinds.
@@ -33,13 +33,6 @@ fn server_canonical_source_is_the_shared_canonicalizer() {
 }
 
 #[test]
-fn server_fnv1a_is_the_shared_fnv1a() {
-    for bytes in [&b""[..], b"a", b"report\0origin\0flags\0program"] {
-        assert_eq!(mbb_server::cache::fnv1a(bytes), canon::fnv1a(bytes));
-    }
-}
-
-#[test]
 fn cache_key_reproduces_the_server_key_layout_byte_for_byte() {
     let p = parse(PROGRAM).unwrap();
     let canon_text = canon::program(&p);
@@ -47,11 +40,6 @@ fn cache_key_reproduces_the_server_key_layout_byte_for_byte() {
     let by_helper = canon::cache_key("report", "origin", flags, &canon_text);
     let by_hand = canon::fnv1a(format!("report\0origin\0{flags}\0{canon_text}").as_bytes());
     assert_eq!(by_helper, by_hand, "cache_key must be fnv1a over the historical layout");
-    // The same layout through the server's re-exported hash.
-    assert_eq!(
-        by_helper,
-        mbb_server::cache::fnv1a(format!("report\0origin\0{flags}\0{canon_text}").as_bytes())
-    );
 }
 
 #[test]
@@ -62,7 +50,7 @@ fn search_score_keys_use_the_same_helper_as_the_server() {
     // identical inputs must give identical keys whichever crate computes
     // them.
     let search_key = canon::cache_key(mbb_search::engine::SCORE_KIND, "origin", "", &canon_text);
-    let server_style = mbb_server::cache::fnv1a(
+    let server_style = canon::fnv1a(
         format!("{}\0origin\0\0{canon_text}", mbb_search::engine::SCORE_KIND).as_bytes(),
     );
     assert_eq!(search_key, server_style);
