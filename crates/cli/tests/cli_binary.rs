@@ -38,6 +38,22 @@ fn report_with_machine_flag() {
 }
 
 #[test]
+fn out_of_range_machine_scale_exits_2() {
+    let p = write_temp("scale");
+    for machine in ["origin/0", "origin/100000000"] {
+        let out =
+            mbbc().args(["report", p.to_str().unwrap(), "--machine", machine]).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{machine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
 fn stdin_input_via_dash() {
     let mut child =
         mbbc().args(["run", "-"]).stdin(Stdio::piped()).stdout(Stdio::piped()).spawn().unwrap();

@@ -12,9 +12,9 @@ use std::fmt;
 use mbb_ir::program::{ArrayId, Program};
 use mbb_ir::ranges::{contraction_plan, ContractBlocker};
 use mbb_memsim::machine::MachineModel;
-use mbb_memsim::timing::Bottleneck;
+use mbb_memsim::timing::{predict, Bottleneck};
 
-use crate::balance::{measure_program_balance, ratios, time_program};
+use crate::balance::{measure_program_balance, ratios};
 use crate::fusion::{build_fusion_graph, greedy_fusion, total_distinct_arrays, Partitioning};
 use crate::regroup::regroup_candidates;
 use crate::stores::{can_eliminate, StoreBlocker};
@@ -129,7 +129,7 @@ impl fmt::Display for Advice {
 pub fn advise(prog: &Program, machine: &MachineModel) -> Result<Advice, String> {
     let balance = measure_program_balance(prog, machine).map_err(|e| e.to_string())?;
     let r = ratios(&balance, machine);
-    let pred = time_program(prog, machine).map_err(|e| e.to_string())?;
+    let pred = predict(machine, &balance.report, balance.flops);
     let bottleneck = match pred.bottleneck {
         Bottleneck::Compute => "compute".to_string(),
         Bottleneck::Channel(k) if k + 1 == machine.bandwidth_mbs.len() => "memory".to_string(),

@@ -130,6 +130,10 @@ struct Line {
     valid: bool,
 }
 
+impl Line {
+    const INVALID: Line = Line { tag: 0, dirty: false, valid: false };
+}
+
 /// What a single-line access did, as seen by the next level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LineOutcome {
@@ -150,13 +154,70 @@ pub enum LineOutcome {
     },
 }
 
+/// The lines and LRU orders of every set of one level, flat and set-major:
+/// way `w` of set `s` sits at index `s * ways + w` of both arrays.  A level
+/// is two allocations however many sets it has — building and dropping a
+/// cold hierarchy costs a few allocations and a fill, not one allocation
+/// per set.
+#[derive(Clone, Debug)]
+struct SetStore {
+    ways: usize,
+    lines: Vec<Line>,
+    /// Per-set LRU order: `lru[s * ways]` is set `s`'s MRU way index.
+    lru: Vec<u8>,
+}
+
+/// `WAY_ORDER[..ways]` is the LRU order of an empty set: way 0 in front,
+/// the last way first to be evicted.
+const WAY_ORDER: [u8; 256] = {
+    let mut order = [0; 256];
+    let mut w = 0;
+    while w < 256 {
+        order[w] = w as u8;
+        w += 1;
+    }
+    order
+};
+
+impl SetStore {
+    fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            ways <= WAY_ORDER.len(),
+            "associativity must fit the u8 LRU order (at most 256 ways)"
+        );
+        SetStore {
+            ways,
+            lines: vec![Line::INVALID; sets * ways],
+            lru: WAY_ORDER[..ways].repeat(sets),
+        }
+    }
+
+    #[inline]
+    fn lines_of(&self, set: usize) -> &[Line] {
+        let base = set * self.ways;
+        &self.lines[base..base + self.ways]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> (&mut [Line], &mut [u8]) {
+        let base = set * self.ways;
+        (&mut self.lines[base..base + self.ways], &mut self.lru[base..base + self.ways])
+    }
+
+    /// Back to the state [`SetStore::new`] builds.
+    fn reset(&mut self) {
+        self.lines.fill(Line::INVALID);
+        for order in self.lru.chunks_exact_mut(self.ways) {
+            order.copy_from_slice(&WAY_ORDER[..self.ways]);
+        }
+    }
+}
+
 /// One cache level.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    /// Per-set LRU order: `lru[s][0]` is the MRU way index.
-    lru: Vec<Vec<u8>>,
+    sets: SetStore,
     /// Event counters.
     pub stats: LevelStats,
     // Geometry precomputed at construction so the per-access path is all
@@ -176,6 +237,10 @@ pub struct Cache {
 
 impl Cache {
     /// Builds an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    /// Panics unless the line size is a power of two and the associativity
+    /// is between 1 and 256 (way indices must fit the `u8` LRU entries).
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line.is_power_of_two(), "line size must be a power of two");
         assert!(cfg.assoc >= 1, "associativity must be at least 1");
@@ -189,8 +254,7 @@ impl Cache {
             (page / cfg.line).trailing_zeros()
         });
         Cache {
-            sets: vec![vec![Line { tag: 0, dirty: false, valid: false }; ways]; sets],
-            lru: vec![(0..ways as u8).collect(); sets],
+            sets: SetStore::new(sets, ways),
             stats: LevelStats::default(),
             line_shift: cfg.line.trailing_zeros(),
             set_mask: (cfg.sets().is_power_of_two()).then(|| cfg.sets() - 1),
@@ -207,17 +271,7 @@ impl Cache {
 
     /// Resets contents and counters.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-                l.dirty = false;
-            }
-        }
-        for order in &mut self.lru {
-            for (k, w) in order.iter_mut().enumerate() {
-                *w = k as u8;
-            }
-        }
+        self.sets.reset();
         self.stats = LevelStats::default();
     }
 
@@ -301,8 +355,7 @@ impl Cache {
     pub fn access_line(&mut self, addr: u64, is_write: bool, full_line_write: bool) -> LineOutcome {
         let line_addr = addr >> self.line_shift;
         let (set_idx, tag) = self.set_and_tag(line_addr);
-        let set = &mut self.sets[set_idx];
-        let order = &mut self.lru[set_idx];
+        let (set, order) = self.sets.set_mut(set_idx);
 
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             if is_write {
@@ -368,7 +421,8 @@ impl Cache {
     #[inline]
     pub(crate) fn probe_indexed(&self, index_addr: u64, line_addr: u64) -> Option<(u32, u8)> {
         let set_idx = self.index_of(index_addr);
-        self.sets[set_idx]
+        self.sets
+            .lines_of(set_idx)
             .iter()
             .position(|l| l.valid && l.tag == line_addr)
             .map(|way| (set_idx as u32, way as u8))
@@ -383,12 +437,14 @@ impl Cache {
     /// cannot express.  The run walk excludes that configuration up front.
     #[inline]
     pub(crate) fn apply_touch(&mut self, set_idx: u32, way: u8, is_write: bool) {
-        let s = set_idx as usize;
+        // Read touches, the common case, slice only the LRU order.
+        let ways = self.sets.ways;
+        let base = set_idx as usize * ways;
         if is_write {
             debug_assert_eq!(self.cfg.policy, WritePolicy::WriteBack);
-            self.sets[s][way as usize].dirty = true;
+            self.sets.lines[base + way as usize].dirty = true;
         }
-        Self::touch_mru(&mut self.lru[s], way);
+        Self::touch_mru(&mut self.sets.lru[base..base + ways], way);
     }
 
     /// Line size in bytes.
@@ -402,13 +458,11 @@ impl Cache {
     pub fn prefetch_line(&mut self, addr: u64) -> Option<Option<u64>> {
         let line_addr = addr >> self.line_shift;
         let (set_idx, tag) = self.set_and_tag(line_addr);
-        let set = &mut self.sets[set_idx];
+        let (set, order) = self.sets.set_mut(set_idx);
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            let order = &mut self.lru[set_idx];
             Self::touch_mru(order, way as u8);
             return None;
         }
-        let order = &mut self.lru[set_idx];
         let victim_way = *order.last().expect("non-empty set") as usize;
         let victim = set[victim_way];
         let writeback_of = if victim.valid && victim.dirty {
@@ -425,8 +479,9 @@ impl Cache {
     }
 
     /// Marks every dirty line clean and returns their byte addresses —
-    /// the writebacks a full flush would issue.  Counted in
-    /// [`LevelStats::writebacks`].
+    /// the writebacks a full flush performs, in set-major, way-minor
+    /// order (the order a flush forwards them to the next level).  Counted
+    /// in [`LevelStats::writebacks`].
     ///
     /// The stored tag is already the full line address (identity is exact
     /// regardless of the index mapping — see `Cache::set_and_tag`), so a
@@ -434,13 +489,11 @@ impl Cache {
     /// [`Cache::access_line`] eviction writebacks.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for set in self.sets.iter_mut() {
-            for l in set.iter_mut() {
-                if l.valid && l.dirty {
-                    l.dirty = false;
-                    self.stats.writebacks += 1;
-                    out.push(l.tag << self.line_shift);
-                }
+        for l in self.sets.lines.iter_mut() {
+            if l.valid && l.dirty {
+                l.dirty = false;
+                self.stats.writebacks += 1;
+                out.push(l.tag << self.line_shift);
             }
         }
         out

@@ -125,8 +125,17 @@ impl MachineModel {
     /// NAS/SP and Sweep3D rows of Figure 1 (see EXPERIMENTS.md).
     ///
     /// # Panics
-    /// Panics if scaling would make a cache smaller than one line per way.
+    /// Panics where [`MachineModel::try_scaled`] returns an error.
     pub fn scaled(&self, factor: u64) -> Self {
+        self.try_scaled(factor).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// As [`MachineModel::scaled`], refusing a zero factor and one that
+    /// would make a cache smaller than one line per way.
+    pub fn try_scaled(&self, factor: u64) -> Result<Self, String> {
+        if factor == 0 {
+            return Err("cache scale factor must be at least 1".into());
+        }
         let mut m = self.clone();
         m.name = format!("{} (caches ÷{factor})", self.name);
         if let Some(t) = &mut m.tlb {
@@ -135,11 +144,9 @@ impl MachineModel {
         }
         for c in &mut m.caches {
             c.size /= factor;
-            assert!(
-                c.size >= c.line * u64::from(c.assoc),
-                "cache {} too small after scaling",
-                c.name
-            );
+            if c.size < c.line * u64::from(c.assoc) {
+                return Err(format!("cache {} too small after scaling by {factor}", c.name));
+            }
             // Page-granular index shuffling must scale with capacity, or
             // the scaled cache has too few colours and random collisions
             // dominate.
@@ -147,7 +154,7 @@ impl MachineModel {
                 c.page_shuffle = Some((p / factor).max(c.line).next_power_of_two());
             }
         }
-        m
+        Ok(m)
     }
 
     /// As [`MachineModel::scaled`], with one factor per cache level —
@@ -231,6 +238,18 @@ mod tests {
         assert_eq!(m.memory_bandwidth_mbs(), 1020.0);
         assert_eq!(m.bandwidth_mbs[0], 1560.0);
         assert_eq!(m.peak_mflops, 390.0);
+    }
+
+    #[test]
+    fn try_scaled_refuses_zero_and_caches_below_one_line_per_way() {
+        let m = MachineModel::origin2000();
+        assert!(m.try_scaled(0).is_err());
+        // L1 is 32 KB of 2-way 32 B lines: 512 is the largest factor that
+        // keeps one line per way.
+        assert_eq!(m.try_scaled(512).unwrap().caches[0].size, 64);
+        let e = m.try_scaled(513).unwrap_err();
+        assert!(e.contains("cache L1 too small"), "{e}");
+        assert!(m.try_scaled(u64::MAX).is_err());
     }
 
     #[test]

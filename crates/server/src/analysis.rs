@@ -10,13 +10,13 @@
 use std::fmt::Write as _;
 
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
-use mbb_core::balance::{measure_program_balance, ratios, time_program};
+use mbb_core::balance::{measure_program_balance, ratios, ProgramBalance};
 use mbb_core::pipeline::{optimize as run_pipeline, verify_equivalent, OptimizeOptions};
 use mbb_core::regroup::regroup_all;
 use mbb_ir::budget::Budget;
 use mbb_ir::{parse, pretty, Program};
 use mbb_memsim::machine::MachineModel;
-use mbb_memsim::timing::Bottleneck;
+use mbb_memsim::timing::{predict, Bottleneck, Prediction};
 use mbb_obs::channel_names;
 use mbb_obs::json::Json;
 
@@ -176,10 +176,9 @@ pub fn profile_json(p: &mbb_obs::Profile) -> Json {
 /// `origin/N` for the cache-scaled variant.
 pub fn machine_by_name(name: &str) -> Result<MachineModel, ServeError> {
     if let Some(rest) = name.strip_prefix("origin/") {
-        let n: u64 = rest
-            .parse()
-            .map_err(|_| ServeError::new(ErrorKind::BadRequest, format!("bad scale `{rest}`")))?;
-        return Ok(MachineModel::origin2000().scaled(n));
+        let bad = |why: String| ServeError::new(ErrorKind::BadRequest, why);
+        let n: u64 = rest.parse().map_err(|_| bad(format!("bad scale `{rest}`")))?;
+        return MachineModel::origin2000().try_scaled(n).map_err(bad);
     }
     match name {
         "origin" | "origin2000" => Ok(MachineModel::origin2000()),
@@ -219,6 +218,13 @@ fn check_deadline() -> Result<(), ServeError> {
     mbb_ir::budget::charge(0).map_err(run_error)
 }
 
+/// Measures `p`'s balance and prices its predicted time from that one
+/// simulation.
+fn measured(p: &Program, opts: &Options) -> Result<(Prediction, ProgramBalance), ServeError> {
+    let b = measure_program_balance(p, &opts.machine).map_err(run_error)?;
+    Ok((predict(&opts.machine, &b.report, b.flops), b))
+}
+
 /// The `report` analysis: §2 program balance, ratios, utilisation bound
 /// and predicted time on the chosen machine.
 pub fn report(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
@@ -228,19 +234,13 @@ pub fn report(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
 fn report_inner(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
     let _budget = opts.budget.install();
     let _engine = mbb_ir::runs::install(opts.engine);
-    // The "measure" phase runs first, so the profile's *first* "interp"
-    // span — the one `nest_table` extracts — is the measurement whose
-    // totals equal the printed report exactly.  `time_program` re-runs the
-    // interpreter under its own phase span.
-    let b = {
+    // The profile's "interp" span inside "measure" is the one `nest_table`
+    // extracts: its totals equal the printed report exactly.
+    let (t, b) = {
         let _s = mbb_obs::span!("measure");
-        measure_program_balance(p, &opts.machine).map_err(run_error)?
+        measured(p, opts)?
     };
     let r = ratios(&b, &opts.machine);
-    let t = {
-        let _s = mbb_obs::span!("timing");
-        time_program(p, &opts.machine).map_err(run_error)?
-    };
     let supply = opts.machine.balance();
     let names = channel_names(supply.len());
 
@@ -362,9 +362,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
     // opens its own stage spans (fuse/shrink/store-elim/verify) inside.
     let (before_t, before_b) = {
         let _s = mbb_obs::span!("before");
-        let t = time_program(p, &opts.machine).map_err(run_error)?;
-        let b = measure_program_balance(p, &opts.machine).map_err(run_error)?;
-        (t, b)
+        measured(p, opts)?
     };
 
     check_deadline()?;
@@ -387,9 +385,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
 
     let (after_t, after_b) = {
         let _s = mbb_obs::span!("after");
-        let t = time_program(&outcome.program, &opts.machine).map_err(run_error)?;
-        let b = measure_program_balance(&outcome.program, &opts.machine).map_err(run_error)?;
-        (t, b)
+        measured(&outcome.program, opts)?
     };
 
     let mut out = String::new();
@@ -558,9 +554,7 @@ fn optimize_search_inner(
     let _engine = mbb_ir::runs::install(opts.engine);
     let (before_t, before_b) = {
         let _s = mbb_obs::span!("before");
-        let t = time_program(p, &opts.machine).map_err(run_error)?;
-        let b = measure_program_balance(p, &opts.machine).map_err(run_error)?;
-        (t, b)
+        measured(p, opts)?
     };
 
     check_deadline()?;
@@ -593,9 +587,7 @@ fn optimize_search_inner(
 
     let (after_t, after_b) = {
         let _s = mbb_obs::span!("after");
-        let t = time_program(&program, &opts.machine).map_err(run_error)?;
-        let b = measure_program_balance(&program, &opts.machine).map_err(run_error)?;
-        (t, b)
+        measured(&program, opts)?
     };
 
     let t = &out.trace;
@@ -896,8 +888,11 @@ mod tests {
 
     #[test]
     fn unknown_machine_is_a_bad_request() {
-        assert_eq!(machine_by_name("cray").unwrap_err().kind, ErrorKind::BadRequest);
+        for name in ["cray", "origin/x", "origin/-1", "origin/0", "origin/100000000"] {
+            assert_eq!(machine_by_name(name).unwrap_err().kind, ErrorKind::BadRequest, "{name}");
+        }
         assert!(machine_by_name("origin/64").is_ok());
+        assert!(machine_by_name("origin/1").is_ok());
     }
 
     /// ~80k innermost iterations: far beyond a 4096-step quota but quick

@@ -1326,6 +1326,21 @@ mod tests {
         assert_eq!(resp.get("cached"), Some(&Json::Bool(true)), "{resp:?}");
     }
 
+    #[test]
+    fn out_of_range_machine_scales_are_bad_requests_not_panics() {
+        let shared = test_shared();
+        for machine in ["origin/0", "origin/100000000"] {
+            let req = REQ.replace(
+                "\"kind\":\"report\"",
+                &format!("\"kind\":\"report\",\"machine\":\"{machine}\""),
+            );
+            let resp = process(&shared, &req);
+            assert_eq!(error_code(&resp).as_deref(), Some("bad-request"), "{machine}: {resp:?}");
+        }
+        assert_eq!(shared.metrics.panics_total.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.metrics.errors_of(ErrorKind::BadRequest), 2);
+    }
+
     /// Two fusable nests: a producer into `res` and a reduction over it.
     const SEARCH_REQ: &str = "{\"schema\":\"mbb-serve/1\",\"kind\":\"optimize-search\",\"program\":\"array res[64]\\narray data[64]\\nscalar sum = 0  // printed\\nfor i = 0, 63\\n  res[i] = (res[i] + data[i])\\nend for\\nfor j = 0, 63\\n  sum = (sum + res[j])\\nend for\\n\",\"options\":{\"beam\":2,\"search_steps\":2}}";
 
