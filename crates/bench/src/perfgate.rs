@@ -225,11 +225,11 @@ impl GateReport {
 /// repetition.  Panics if the simulation is non-deterministic (different
 /// event counts between repetitions).
 ///
-/// The kernel is `FnMut` so expensive fixtures (the hierarchy — ~1.5 ms
-/// to construct — arenas, IR programs) can be built once outside the
-/// metered region and captured; the event count per repetition is
-/// unaffected because events are counted on the producer side, whatever
-/// the cache state.
+/// The kernel is `FnMut` so fixtures (the hierarchy — ~0.02 ms to
+/// construct since cache sets became flat arrays — arenas, IR programs)
+/// can be built once outside the metered region and captured; the event
+/// count per repetition is unaffected because events are counted on the
+/// producer side, whatever the cache state.
 fn measure(name: &'static str, reps: u32, mut kernel: impl FnMut()) -> KernelMeasure {
     assert!(reps >= 1, "need at least one repetition");
     let mut best: Option<KernelMeasure> = None;

@@ -79,6 +79,10 @@ fn balance_from_report(name: &str, report: TrafficReport, flops: u64) -> Program
 /// Measures the balance of an IR program by interpretation against the
 /// machine's simulated hierarchy (including the final writeback flush).
 ///
+/// Balance is a function of event counts alone, so the program runs
+/// [`Interpreter::trace_only`]: the same trace, flops and errors as a value
+/// run, without array storage or value arithmetic.
+///
 /// ```
 /// use mbb_ir::builder::*;
 /// use mbb_memsim::machine::MachineModel;
@@ -120,7 +124,7 @@ pub fn measure_program_balance_with_layout(
         // nest spans plus the sibling "flush" below partition this run's
         // traffic exactly (see `crate::profile`).
         let _s = mbb_obs::span!("interp");
-        Interpreter::with_layout(prog, layout).run(&mut h)?
+        Interpreter::trace_only(prog, layout).run(&mut h)?
     };
     {
         let _s = mbb_obs::span!("flush");

@@ -7,7 +7,9 @@
 //! 2. `parse(pretty(p)) == p` structurally and `pretty` output is a
 //!    fixpoint — the round-trip property;
 //! 3. the runs engine and the scalar oracle produce identical
-//!    observations, execution counters and simulated traffic;
+//!    observations, execution counters and simulated traffic, and the
+//!    trace-only balance runs reproduce the value runs' flops and a
+//!    value-executing simulation's traffic;
 //! 4. `optimize` preserves observable behaviour (within a floating-point
 //!    tolerance for reassociated reductions) under *both* engines;
 //! 5. measured memory balance never regresses past a small slop;
@@ -31,6 +33,7 @@ use mbb_core::balance::measure_program_balance;
 use mbb_core::mutate::{self, Mutation};
 use mbb_core::pipeline::{optimize, OptimizeOptions};
 use mbb_ir::budget::{self, Budget};
+use mbb_ir::interp::Interpreter;
 use mbb_ir::program::Program;
 use mbb_ir::runs::{self, Engine};
 use mbb_ir::{parse, pretty, validate};
@@ -158,8 +161,19 @@ fn traffic_under(
     measure_program_balance(prog, machine).map_err(|e| format!("{engine}: {e}"))
 }
 
+/// Channel bytes of a value-executing simulation under the scalar oracle
+/// engine: what the trace-only balance runs must reproduce.
+fn value_traffic(prog: &Program, machine: &MachineModel) -> Result<Vec<u64>, String> {
+    let _guard = runs::install(Engine::Scalar);
+    let mut h = machine.hierarchy();
+    Interpreter::new(prog).run(&mut h).map_err(|e| format!("scalar: {e}"))?;
+    h.flush();
+    Ok(h.report().channel_bytes)
+}
+
 /// Runs `prog` under both engines and demands byte-identical observations,
-/// counters and simulated traffic.
+/// counters and simulated traffic.  Value execution is the oracle for the
+/// trace-only balance measurement: its flops and channel bytes must match.
 fn engine_parity(
     params: Params,
     prog: &Program,
@@ -190,6 +204,27 @@ fn engine_parity(
             format!(
                 "traffic: scalar {:?} vs runs {:?}",
                 t_scalar.report.channel_bytes, t_fast.report.channel_bytes
+            ),
+        ));
+    }
+    if t_scalar.flops != scalar.stats.flops || t_fast.flops != scalar.stats.flops {
+        return Err(fail(
+            params,
+            kind,
+            format!(
+                "flops: value run {} vs trace-only balance scalar {} / runs {}",
+                scalar.stats.flops, t_scalar.flops, t_fast.flops
+            ),
+        ));
+    }
+    let valued = value_traffic(prog, machine).map_err(|e| fail(params, FailureKind::Runtime, e))?;
+    if valued != t_scalar.report.channel_bytes {
+        return Err(fail(
+            params,
+            kind,
+            format!(
+                "traffic: value run {valued:?} vs trace-only balance {:?}",
+                t_scalar.report.channel_bytes
             ),
         ));
     }

@@ -263,6 +263,8 @@ pub struct Interpreter<'p> {
     pub(crate) prog: &'p Program,
     layout: LayoutOpts,
     pub(crate) bases: Vec<u64>,
+    /// False for a [`Interpreter::trace_only`] run: no storage, no values.
+    pub(crate) values: bool,
     pub(crate) arrays: Vec<Vec<f64>>,
     pub(crate) scalars: Vec<f64>,
     pub(crate) vars: Vec<i64>,
@@ -306,8 +308,33 @@ impl<'p> Interpreter<'p> {
             prog,
             layout,
             bases,
+            values: true,
             arrays,
             scalars,
+            vars: vec![0; prog.vars.len()],
+            stats: ExecStats::default(),
+            fuel: u64::MAX,
+        }
+    }
+
+    /// Prepares an interpreter that emits the access stream and counts
+    /// flops, loads, stores and iterations, but computes no values: it
+    /// allocates no array storage, reads every load as 0, skips stores and
+    /// `Input` hashes, and returns an empty [`Observation`].
+    ///
+    /// The trace, the counters, every bounds error and every budget charge
+    /// are those of the value run under either engine, because in this IR
+    /// no address, guard, count or trip depends on a value.  Use it where
+    /// only the trace and counters are read (balance measurement); run
+    /// with values wherever an observation is compared.
+    pub fn trace_only(prog: &'p Program, layout: LayoutOpts) -> Self {
+        Interpreter {
+            prog,
+            layout,
+            bases: layout.assign(prog),
+            values: false,
+            arrays: Vec::new(),
+            scalars: Vec::new(),
             vars: vec![0; prog.vars.len()],
             stats: ExecStats::default(),
             fuel: u64::MAX,
@@ -363,6 +390,9 @@ impl<'p> Interpreter<'p> {
     }
 
     pub(crate) fn observe(&self) -> Observation {
+        if !self.values {
+            return Observation::default();
+        }
         let scalars = self
             .prog
             .scalars
@@ -493,12 +523,13 @@ impl<'p> Interpreter<'p> {
 
     fn load<S: AccessSink + ?Sized>(&mut self, r: &Ref, sink: &mut S) -> Result<f64, InterpError> {
         match r {
+            Ref::Scalar(_) if !self.values => Ok(0.0),
             Ref::Scalar(s) => Ok(self.scalars[s.0 as usize]),
             Ref::Element(a, subs) => {
                 let (index, addr) = self.element(*a, subs)?;
                 self.stats.loads += 1;
                 sink.access(Access::read(addr, 8));
-                Ok(self.arrays[a.0 as usize][index])
+                Ok(if self.values { self.arrays[a.0 as usize][index] } else { 0.0 })
             }
         }
     }
@@ -510,6 +541,7 @@ impl<'p> Interpreter<'p> {
         sink: &mut S,
     ) -> Result<(), InterpError> {
         match r {
+            Ref::Scalar(_) if !self.values => Ok(()),
             Ref::Scalar(s) => {
                 self.scalars[s.0 as usize] = value;
                 Ok(())
@@ -518,7 +550,9 @@ impl<'p> Interpreter<'p> {
                 let (index, addr) = self.element(*a, subs)?;
                 self.stats.stores += 1;
                 sink.access(Access::write(addr, 8));
-                self.arrays[a.0 as usize][index] = value;
+                if self.values {
+                    self.arrays[a.0 as usize][index] = value;
+                }
                 Ok(())
             }
         }
@@ -532,6 +566,9 @@ impl<'p> Interpreter<'p> {
         match e {
             Expr::Const(c) => Ok(*c),
             Expr::Load(r) => self.load(r, sink),
+            // Input subscripts are affine and unchecked: skipping them
+            // cannot skip an error.
+            Expr::Input(..) if !self.values => Ok(0.0),
             Expr::Input(src, subs) => {
                 let vals: Vec<i64> = subs.iter().map(|s| self.eval_affine_vars(s)).collect();
                 Ok(input_value(*src, input_key(&vals)))

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use crate::expr::{Affine, BinOp, Expr, Ref, UnOp};
 use crate::interp::{input_key, input_value, InterpError, Interpreter, RunResult};
 use crate::program::{ArrayId, LoopNest, Program, SourceId, Stmt};
-use crate::trace::{AccessKind, AccessSink, Buffered, RunRef};
+use crate::trace::{AccessKind, AccessSink, Buffered, RunRef, Scalarize};
 
 /// Which execution engine [`Interpreter::run`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -141,6 +141,19 @@ impl Drop for EngineGuard {
     fn drop(&mut self) {
         let prev = self.prev;
         OVERRIDE.with(|c| c.set(prev));
+    }
+}
+
+/// Emits one run bundle under the current engine: the scalar oracle
+/// engine expands it element by element through [`Scalarize`], any other
+/// engine hands the sink the bundle, which a simulator may walk per cache
+/// line.  Native kernels that produce their own runs call this so that
+/// `--engine scalar` checks them against the element walk too.
+pub fn emit_runs(sink: &mut (impl AccessSink + ?Sized), refs: &[RunRef], count: u64) {
+    if current() == Engine::Scalar {
+        Scalarize::new(sink).access_runs(refs, count);
+    } else {
+        sink.access_runs(refs, count);
     }
 }
 
@@ -484,15 +497,17 @@ fn run_inner<S: AccessSink + ?Sized>(
         st.idx.push((index0, estride, rp.array.0));
     }
     st.inputs.clear();
-    for ip in &plan.inputs {
-        let cur = ip
-            .outer
-            .iter()
-            .zip(&ip.inner_coeff)
-            .map(|(o, &c)| interp.eval_affine_vars(o) + c * lo)
-            .collect();
-        let delta = ip.inner_coeff.iter().map(|&c| c * step).collect();
-        st.inputs.push(InputState { cur, delta });
+    if interp.values {
+        for ip in &plan.inputs {
+            let cur = ip
+                .outer
+                .iter()
+                .zip(&ip.inner_coeff)
+                .map(|(o, &c)| interp.eval_affine_vars(o) + c * lo)
+                .collect();
+            let delta = ip.inner_coeff.iter().map(|&c| c * step).collect();
+            st.inputs.push(InputState { cur, delta });
+        }
     }
 
     // Budget-chunked execution of the in-bounds prefix.  The scalar engine
@@ -556,7 +571,8 @@ fn run_inner<S: AccessSink + ?Sized>(
 /// indices.  The access stream goes out first as one `access_runs` bundle
 /// — the expansion order (iteration-major, refs in access order) is
 /// exactly the scalar emission order, and the values computed afterwards
-/// cannot influence the addresses, which are pre-resolved.
+/// cannot influence the addresses, which are pre-resolved.  A trace-only
+/// run stops after the bundle and the counters.
 fn exec_chunk<S: AccessSink + ?Sized>(
     interp: &mut Interpreter<'_>,
     plan: &NestPlan,
@@ -578,6 +594,13 @@ fn exec_chunk<S: AccessSink + ?Sized>(
     interp.stats.loads += plan.loads_per_iter * m;
     interp.stats.stores += plan.stores_per_iter * m;
 
+    if !interp.values {
+        // A trace-only run needs the indices only, for the next chunk.
+        for e in st.idx.iter_mut() {
+            e.0 = e.0.wrapping_add(e.1.wrapping_mul(m as i64));
+        }
+        return;
+    }
     for _ in 0..m {
         for op in &plan.vops {
             match *op {
@@ -626,8 +649,9 @@ fn exec_chunk<S: AccessSink + ?Sized>(
 mod tests {
     use super::*;
     use crate::builder::*;
+    use crate::interp::LayoutOpts;
     use crate::program::Loop;
-    use crate::trace::VecSink;
+    use crate::trace::{Access, VecSink};
 
     fn run_both(p: &Program) -> (Result<RunResult, InterpError>, Result<RunResult, InterpError>) {
         let mut vs = VecSink::new();
@@ -642,6 +666,40 @@ mod tests {
         };
         assert_eq!(vs.events, vr.events, "access streams must be identical on success");
         (scalar, runs)
+    }
+
+    /// Runs `p` under `engine` and a fresh step budget, with values or
+    /// trace-only, recording the access stream up to the end or the error.
+    fn run_mode(
+        p: &Program,
+        engine: Engine,
+        values: bool,
+        max_steps: Option<u64>,
+    ) -> (Result<RunResult, InterpError>, Vec<Access>) {
+        let _g = install(engine);
+        let _b = crate::budget::Budget { max_steps, wall: None }.install();
+        let mut sink = VecSink::new();
+        let interp = if values {
+            Interpreter::new(p)
+        } else {
+            Interpreter::trace_only(p, LayoutOpts::default())
+        };
+        (interp.run(&mut sink), sink.events)
+    }
+
+    /// Under each engine, a trace-only run fails with the value run's error
+    /// after the value run's accesses: the same error at the same point.
+    fn assert_fails_alike_without_values(p: &Program, max_steps: Option<u64>) -> InterpError {
+        let mut first = None;
+        for engine in [Engine::Scalar, Engine::Runs] {
+            let (value, value_trace) = run_mode(p, engine, true, max_steps);
+            let (bare, bare_trace) = run_mode(p, engine, false, max_steps);
+            let value = value.expect_err("value run fails");
+            assert_eq!(bare.expect_err("trace-only run fails"), value, "{engine}");
+            assert_eq!(bare_trace, value_trace, "{engine}: accesses before the error");
+            first.get_or_insert(value);
+        }
+        first.expect("two engines ran")
     }
 
     fn assert_identical(p: &Program) {
@@ -789,6 +847,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(assert_fails_alike_without_values(&p, None), re);
     }
 
     #[test]
@@ -799,7 +858,9 @@ mod tests {
         b.nest("over", &[(i, 0, 7)], vec![assign(a.at([v(i)]), lit(1.0))]);
         let p = b.finish();
         let (s, r) = run_both(&p);
-        assert_eq!(s.unwrap_err(), r.unwrap_err());
+        let re = r.unwrap_err();
+        assert_eq!(s.unwrap_err(), re);
+        assert_eq!(assert_fails_alike_without_values(&p, None), re);
     }
 
     #[test]
@@ -833,6 +894,8 @@ mod tests {
         let r = run_with_budget(Engine::Runs).expect_err("budget trips");
         assert_eq!(format!("{s}"), format!("{r}"));
         assert!(matches!(r, InterpError::Budget(_)));
+        // The first charge, at iteration 1024 of 1152, trips the budget.
+        assert_eq!(assert_fails_alike_without_values(&p, Some(1000)), r);
     }
 
     #[test]
@@ -845,13 +908,11 @@ mod tests {
             Interpreter::new(&p).run(&mut crate::trace::NullSink).unwrap().stats.iterations
         };
         for max in [total - 1, total, total + 1, 1024, 1025, 2048] {
-            let outcome = |e: Engine| {
-                let _g = install(e);
-                let budget = crate::budget::Budget { max_steps: Some(max), wall: None };
-                let _b = budget.install();
-                Interpreter::new(&p).run(&mut crate::trace::NullSink).is_ok()
-            };
-            assert_eq!(outcome(Engine::Scalar), outcome(Engine::Runs), "max_steps={max}");
+            let outcome = |e: Engine, values: bool| run_mode(&p, e, values, Some(max)).0.is_ok();
+            let scalar = outcome(Engine::Scalar, true);
+            assert_eq!(scalar, outcome(Engine::Runs, true), "max_steps={max}");
+            assert_eq!(scalar, outcome(Engine::Scalar, false), "max_steps={max}, no values");
+            assert_eq!(scalar, outcome(Engine::Runs, false), "max_steps={max}, no values");
         }
     }
 

@@ -213,11 +213,78 @@ impl SetStore {
     }
 }
 
+/// An index of one level's dirty lines: one bit per line in storage order
+/// (`set * ways + way`), set exactly while that line's `dirty` flag is.
+/// A drain visits the set bits in increasing order — the set-major,
+/// way-minor order of a scan — reading one bit per line at most instead
+/// of every line.  The lines keep their own flag, so the access paths test
+/// dirtiness in the line they already hold and touch the index only when
+/// a line turns dirty or a dirty one leaves.
+///
+/// The bitmap is allocated at the level's first dirtying, so building a
+/// cold hierarchy allocates nothing for it, and a level that is never
+/// written never allocates it at all.
+#[derive(Clone, Debug)]
+struct DirtyLines {
+    bits: Vec<u64>,
+    /// Lines in the level (the bitmap's length in bits once allocated).
+    lines: usize,
+    /// Set bits.
+    count: usize,
+}
+
+impl DirtyLines {
+    fn new(lines: usize) -> Self {
+        DirtyLines { bits: Vec::new(), lines, count: 0 }
+    }
+
+    /// Records that clean line `i` became dirty.
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        if self.bits.is_empty() {
+            self.bits = vec![0; self.lines.div_ceil(64)];
+        }
+        self.bits[i / 64] |= 1 << (i % 64);
+        self.count += 1;
+    }
+
+    /// Records that dirty line `i` was replaced.
+    #[inline]
+    fn unmark(&mut self, i: usize) {
+        self.bits[i / 64] &= !(1 << (i % 64));
+        self.count -= 1;
+    }
+
+    /// Clears every bit, calling `f` with each dirty line's index in
+    /// increasing order.  Stops scanning after the last dirty line.
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        let mut left = self.count;
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            if left == 0 {
+                break;
+            }
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                left -= 1;
+            }
+        }
+        self.count = 0;
+    }
+
+    fn clear(&mut self) {
+        self.bits.fill(0);
+        self.count = 0;
+    }
+}
+
 /// One cache level.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: SetStore,
+    dirty: DirtyLines,
     /// Event counters.
     pub stats: LevelStats,
     // Geometry precomputed at construction so the per-access path is all
@@ -255,6 +322,7 @@ impl Cache {
         });
         Cache {
             sets: SetStore::new(sets, ways),
+            dirty: DirtyLines::new(sets * ways),
             stats: LevelStats::default(),
             line_shift: cfg.line.trailing_zeros(),
             set_mask: (cfg.sets().is_power_of_two()).then(|| cfg.sets() - 1),
@@ -272,6 +340,7 @@ impl Cache {
     /// Resets contents and counters.
     pub fn reset(&mut self) {
         self.sets.reset();
+        self.dirty.clear();
         self.stats = LevelStats::default();
     }
 
@@ -355,13 +424,17 @@ impl Cache {
     pub fn access_line(&mut self, addr: u64, is_write: bool, full_line_write: bool) -> LineOutcome {
         let line_addr = addr >> self.line_shift;
         let (set_idx, tag) = self.set_and_tag(line_addr);
+        let base = set_idx * self.sets.ways;
         let (set, order) = self.sets.set_mut(set_idx);
 
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             if is_write {
                 match self.cfg.policy {
                     WritePolicy::WriteBack => {
-                        set[way].dirty = true;
+                        if !set[way].dirty {
+                            set[way].dirty = true;
+                            self.dirty.mark(base + way);
+                        }
                         self.stats.write_hits += 1;
                     }
                     WritePolicy::WriteThrough => {
@@ -401,6 +474,13 @@ impl Cache {
             self.stats.fetches += 1;
         }
         set[victim_way] = Line { tag, dirty: is_write, valid: true };
+        // The slot keeps its index bit when a dirty line gives way to a
+        // dirty one.
+        match (victim.dirty, is_write) {
+            (false, true) => self.dirty.mark(base + victim_way),
+            (true, false) => self.dirty.unmark(base + victim_way),
+            _ => {}
+        }
         Self::touch_mru(order, victim_way as u8);
         LineOutcome::Miss { writeback_of, fetched }
     }
@@ -442,7 +522,11 @@ impl Cache {
         let base = set_idx as usize * ways;
         if is_write {
             debug_assert_eq!(self.cfg.policy, WritePolicy::WriteBack);
-            self.sets.lines[base + way as usize].dirty = true;
+            let i = base + way as usize;
+            if !self.sets.lines[i].dirty {
+                self.sets.lines[i].dirty = true;
+                self.dirty.mark(i);
+            }
         }
         Self::touch_mru(&mut self.sets.lru[base..base + ways], way);
     }
@@ -458,6 +542,7 @@ impl Cache {
     pub fn prefetch_line(&mut self, addr: u64) -> Option<Option<u64>> {
         let line_addr = addr >> self.line_shift;
         let (set_idx, tag) = self.set_and_tag(line_addr);
+        let base = set_idx * self.sets.ways;
         let (set, order) = self.sets.set_mut(set_idx);
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             Self::touch_mru(order, way as u8);
@@ -474,6 +559,9 @@ impl Cache {
         self.stats.fetches += 1;
         self.stats.prefetches += 1;
         set[victim_way] = Line { tag, dirty: false, valid: true };
+        if victim.dirty {
+            self.dirty.unmark(base + victim_way);
+        }
         Self::touch_mru(order, victim_way as u8);
         Some(writeback_of)
     }
@@ -481,21 +569,21 @@ impl Cache {
     /// Marks every dirty line clean and returns their byte addresses —
     /// the writebacks a full flush performs, in set-major, way-minor
     /// order (the order a flush forwards them to the next level).  Counted
-    /// in [`LevelStats::writebacks`].
+    /// in [`LevelStats::writebacks`].  Costs the dirty lines, not the
+    /// level's size: the dirty bitmap names them in storage order.
     ///
     /// The stored tag is already the full line address (identity is exact
     /// regardless of the index mapping — see `Cache::set_and_tag`), so a
     /// drained victim's address is `tag << line_shift`, exactly as for
     /// [`Cache::access_line`] eviction writebacks.
     pub fn drain_dirty(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for l in self.sets.lines.iter_mut() {
-            if l.valid && l.dirty {
-                l.dirty = false;
-                self.stats.writebacks += 1;
-                out.push(l.tag << self.line_shift);
-            }
-        }
+        let mut out = Vec::with_capacity(self.dirty.count);
+        let (lines, shift) = (&mut self.sets.lines, self.line_shift);
+        self.dirty.drain(|i| {
+            lines[i].dirty = false;
+            out.push(lines[i].tag << shift);
+        });
+        self.stats.writebacks += out.len() as u64;
         out
     }
 }

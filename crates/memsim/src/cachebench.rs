@@ -7,9 +7,10 @@
 //! channel *into* level *k*, so the measured plateau per region is the
 //! per-channel supply.
 
-use mbb_ir::trace::AccessSink;
+use mbb_ir::runs::emit_runs;
+use mbb_ir::trace::{AccessKind, RunRef};
 
-use crate::arena::{Arena, TracedArray};
+use crate::arena::Arena;
 use crate::machine::MachineModel;
 use crate::timing::{effective_bandwidth_mbs, predict};
 
@@ -26,25 +27,26 @@ pub struct SweepPoint {
 /// Runs the read-modify-write sweep over `sizes` (bytes per working set),
 /// with `passes` passes over each working set (the first pass warms the
 /// caches; more passes amortise it away).
+///
+/// Each pass `a[i] = a[i] + 1` is one run bundle over the working set's
+/// [`Arena`] address — a read and a write of the same cell per iteration.
+/// The bandwidth comes from event counts alone, so no values are kept.
 pub fn sweep(machine: &MachineModel, sizes: &[u64], passes: usize) -> Vec<SweepPoint> {
     sizes
         .iter()
         .map(|&bytes| {
-            let n = (bytes / 8).max(1) as usize;
-            let mut arena = Arena::new();
-            let mut a = TracedArray::from_fn(&mut arena, n, |i| i as f64);
+            let n = (bytes / 8).max(1);
+            let a = Arena::new().alloc_f64(n as usize);
+            let refs = [
+                RunRef { base: a, stride: 8, size: 8, kind: AccessKind::Read },
+                RunRef { base: a, stride: 8, size: 8, kind: AccessKind::Write },
+            ];
             let mut h = machine.hierarchy();
-            let sink: &mut dyn AccessSink = &mut h;
-            let mut flops = 0u64;
             for _ in 0..passes {
-                for i in 0..n {
-                    let v = a.get(i, sink) + 1.0;
-                    a.set(i, v, sink);
-                    flops += 1;
-                }
+                emit_runs(&mut h, &refs, n);
             }
             let report = h.report();
-            let p = predict(machine, &report, flops);
+            let p = predict(machine, &report, passes as u64 * n);
             SweepPoint { bytes, mbs: effective_bandwidth_mbs(report.reg_bytes(), p.time_s) }
         })
         .collect()

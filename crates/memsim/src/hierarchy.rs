@@ -379,9 +379,15 @@ impl Hierarchy {
     /// The residency check is two-phase: first a pure probe of every
     /// distinct line (and its page), then — only if all are resident — the
     /// state application.  A failed probe therefore leaves *no* partial
-    /// state, and the window is replayed through [`Hierarchy::access_one`]
-    /// element by element, which handles misses, evictions, prefetches and
-    /// TLB fills exactly as the scalar engine would.
+    /// state, and only the window's head iteration is replayed through
+    /// [`Hierarchy::access_one`], which handles misses, evictions,
+    /// prefetches and TLB fills exactly as the scalar engine would.  The
+    /// rest of the window is an ordinary window starting one iteration
+    /// later, so it is probed again: an out-of-cache stream misses only
+    /// at the head of each line and bulk-walks the remainder.  Only when
+    /// that second probe also misses (a conflict thrash, where the head's
+    /// own fills evicted a line the window needs) is the rest replayed
+    /// element by element, since probing every iteration would not pay.
     fn run_walk(&mut self, refs: &[RunRef], count: u64) {
         if refs.is_empty() || count == 0 {
             return;
@@ -495,6 +501,9 @@ impl Hierarchy {
         let mut tlb_cycle_ok = false;
 
         let mut bulk_iters: u64 = 0;
+        // True when the window starting at `k` is the rest of a window
+        // whose head iteration was just replayed after a failed probe.
+        let mut after_head = false;
         let mut k: u64 = 0;
         while k < count {
             let remaining = count - k;
@@ -591,10 +600,17 @@ impl Hierarchy {
                     self.levels[0].apply_touch(g.set_idx, g.way, g.is_write);
                 }
                 bulk_iters += w;
+                after_head = false;
             } else {
-                // Exact replay of the whole window; it may evict and
+                // Exact replay of the head iteration, or of the whole rest
+                // of a window whose head already missed; it may evict and
                 // install (including TLB fills), so every cached
                 // coordinate is stale after it.
+                let head_only = !after_head;
+                after_head = head_only && w > 1;
+                if head_only {
+                    w = 1;
+                }
                 for i in k..k + w {
                     for r in refs {
                         self.access_one(r.at(i));
@@ -968,6 +984,57 @@ mod run_tests {
         let mk = || Hierarchy::new(vec![CacheConfig::write_back("odd", 96, 32, 1)]);
         let refs = [rr(0, 8, AccessKind::Read), rr(96, 8, AccessKind::Write)];
         assert_runs_match(mk, &refs, 120);
+    }
+
+    #[test]
+    fn three_streams_thrashing_one_two_way_set_match() {
+        // STREAM add/triad's shape: three streams a multiple of the way
+        // size apart share every set of a 2-way L1, so each access evicts
+        // a line the next one needs.  The head replay's own fills make the
+        // second probe miss too, and the rest of the window is replayed.
+        let refs = [
+            rr(0, 8, AccessKind::Read),
+            rr(4096, 8, AccessKind::Read),
+            rr(8192, 8, AccessKind::Write),
+        ];
+        assert_runs_match(two_level, &refs, 256);
+        let mut h = two_level();
+        h.access_runs(&refs, 256);
+        let l1 = h.report().level_stats[0];
+        assert_eq!(l1.misses(), 3 * 256, "every access misses the thrashed L1");
+    }
+
+    #[test]
+    fn prefetch_on_a_head_miss_fills_the_windows_next_line() {
+        // The second stream runs one line ahead of the first: the head
+        // miss on the first stream's line prefetches the second's, so the
+        // second probe hits and the rest of the window bulk-walks.
+        let mk =
+            || Hierarchy::new(vec![CacheConfig::write_back("L1", 256, 32, 2).with_prefetch(1)]);
+        let refs = [rr(0, 8, AccessKind::Read), rr(32, 8, AccessKind::Write)];
+        assert_runs_match(mk, &refs, 200);
+    }
+
+    #[test]
+    fn tlb_smaller_than_the_windows_pages_matches() {
+        // Three pages per window against a 2-entry TLB: the head replay's
+        // TLB fills evict a page the window needs, so every probe misses.
+        let mk = || {
+            Hierarchy::new(vec![
+                CacheConfig::write_back("L1", 4096, 32, 2),
+                CacheConfig::write_back("L2", 16384, 64, 2),
+            ])
+            .with_tlb(2, 256)
+        };
+        let refs = [
+            rr(0, 8, AccessKind::Read),
+            rr(1024, 8, AccessKind::Read),
+            rr(2048, 8, AccessKind::Write),
+        ];
+        assert_runs_match(mk, &refs, 128);
+        let mut h = mk();
+        h.access_runs(&refs, 128);
+        assert_eq!(h.report().tlb_misses, 3 * 128, "every access misses the TLB");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   time, which reaches the configured peak when the kernel saturates it.
 //!   The machine balance in Figure 1 is stated in channel terms.
 
-use mbb_ir::trace::Buffered;
+use mbb_ir::runs::emit_runs;
+use mbb_ir::trace::{AccessKind, RunRef};
 
-use crate::arena::{Arena, TracedArray};
+use crate::arena::Arena;
 use crate::machine::MachineModel;
 use crate::timing::{effective_bandwidth_mbs, predict};
 
@@ -67,60 +68,45 @@ impl StreamResult {
 
 /// Runs STREAM with `n` elements per array (must comfortably exceed the
 /// last-level cache; [`run_default`] picks 4× its capacity).
+///
+/// Rates come from event counts alone, so the kernels move no values: each
+/// one is a single run bundle over the arrays' [`Arena`] addresses, the
+/// access stream of its loop `for i in 0..n` in the loop's order.  The
+/// arrays are laid out back to back, unpadded.  At [`run_default`]'s size
+/// on the Origin2000 they sit 16 MB apart, so ADD and TRIAD map all three
+/// of their streams into one set of the 2-way L1 and miss it on every
+/// access, as unpadded STREAM does on a real 2-way L1.
 pub fn run(machine: &MachineModel, n: usize) -> StreamResult {
-    let kernel = |which: usize| -> KernelRate {
-        let mut arena = Arena::new();
-        let mut a = TracedArray::from_fn(&mut arena, n, |i| i as f64);
-        let mut b = TracedArray::from_fn(&mut arena, n, |i| 2.0 * i as f64);
-        let mut c = TracedArray::zeroed(&mut arena, n);
-        let s = 3.0;
+    let mut arena = Arena::new();
+    let (a, b, c) = (arena.alloc_f64(n), arena.alloc_f64(n), arena.alloc_f64(n));
+    let read = |base| RunRef { base, stride: 8, size: 8, kind: AccessKind::Read };
+    let write = |base| RunRef { base, stride: 8, size: 8, kind: AccessKind::Write };
+    let n64 = n as u64;
+    let kernel = |refs: &[RunRef], flops: u64| -> KernelRate {
         let mut h = machine.hierarchy();
-        // Stream through the batching adapter: the hierarchy consumes the
-        // same events in the same order, in blocks.  Kept monomorphic so
-        // the per-element pushes inline instead of going through a vtable.
-        let mut buffered = Buffered::new(&mut h);
-        let sink = &mut buffered;
-        let (flops, program_bytes) = match which {
-            0 => {
-                for i in 0..n {
-                    let v = a.get(i, sink);
-                    c.set(i, v, sink);
-                }
-                (0, 16 * n as u64)
-            }
-            1 => {
-                for i in 0..n {
-                    let v = c.get(i, sink);
-                    b.set(i, s * v, sink);
-                }
-                (n as u64, 16 * n as u64)
-            }
-            2 => {
-                for i in 0..n {
-                    let v = a.get(i, sink) + b.get(i, sink);
-                    c.set(i, v, sink);
-                }
-                (n as u64, 24 * n as u64)
-            }
-            _ => {
-                for i in 0..n {
-                    let v = b.get(i, sink) + s * c.get(i, sink);
-                    a.set(i, v, sink);
-                }
-                (2 * n as u64, 24 * n as u64)
-            }
-        };
-        drop(buffered);
+        emit_runs(&mut h, refs, n64);
         h.flush();
         let report = h.report();
         let p = predict(machine, &report, flops);
+        // STREAM's convention counts the bytes the program names: 8 per
+        // reference per iteration.
+        let program_bytes = 8 * n64 * refs.len() as u64;
         KernelRate {
             program_mbs: effective_bandwidth_mbs(program_bytes, p.time_s),
             channel_mbs: effective_bandwidth_mbs(report.mem_bytes(), p.time_s),
             time_s: p.time_s,
         }
     };
-    StreamResult { copy: kernel(0), scale: kernel(1), add: kernel(2), triad: kernel(3) }
+    StreamResult {
+        // c[i] = a[i]
+        copy: kernel(&[read(a), write(c)], 0),
+        // b[i] = s · c[i]
+        scale: kernel(&[read(c), write(b)], n64),
+        // c[i] = a[i] + b[i]
+        add: kernel(&[read(a), read(b), write(c)], n64),
+        // a[i] = b[i] + s · c[i]
+        triad: kernel(&[read(b), read(c), write(a)], 2 * n64),
+    }
 }
 
 /// Runs STREAM with arrays sized at 4× the last-level cache.

@@ -16,7 +16,9 @@
 //!    positive/negative/zero subscript coefficients, non-power-of-two
 //!    extents, forward and reversed loops) interpreted under the `runs`
 //!    engine must produce the same [`TrafficReport`], execution stats and
-//!    observation as the `scalar` engine, on every hierarchy in the zoo.
+//!    observation as the `scalar` engine, on every hierarchy in the zoo;
+//!    and a trace-only run under either engine must produce the value
+//!    run's report and stats.
 //!
 //! The zoo is the same six recipes as `proptest_batched.rs`: the two paper
 //! machines plus deliberately awkward geometries (non-power-of-two set
@@ -25,7 +27,7 @@
 
 use mbb_ir::builder::{assign, c, ld, lit, ProgramBuilder, RefBuild, ScalarRef};
 use mbb_ir::expr::Affine;
-use mbb_ir::interp::Interpreter;
+use mbb_ir::interp::{Interpreter, LayoutOpts};
 use mbb_ir::program::{Loop, Program, VarId};
 use mbb_ir::runs::{install, Engine};
 use mbb_ir::trace::{Access, AccessKind, AccessSink, RunRef};
@@ -289,7 +291,9 @@ proptest! {
 
     /// A random affine nest interpreted under the runs engine is
     /// indistinguishable — traffic report, execution stats, observation —
-    /// from the scalar engine, on every hierarchy in the zoo.
+    /// from the scalar engine, on every hierarchy in the zoo.  A
+    /// trace-only run under either engine reports the value run's traffic
+    /// and stats, and observes nothing.
     #[test]
     fn nest_under_runs_engine_matches_scalar_engine(
         nest in arb_nest(),
@@ -297,19 +301,31 @@ proptest! {
     ) {
         let prog = build_program(&nest);
 
-        let run_with = |engine| {
+        let run_with = |engine, values: bool| {
             let _g = install(engine);
             let mut h = machine.build();
-            let r = Interpreter::new(&prog).run(&mut h).expect("valid nest");
+            let interp = if values {
+                Interpreter::new(&prog)
+            } else {
+                Interpreter::trace_only(&prog, LayoutOpts::default())
+            };
+            let r = interp.run(&mut h).expect("valid nest");
             h.flush();
             (h.report(), r.stats, r.observation)
         };
 
-        let (rep_s, stats_s, obs_s) = run_with(Engine::Scalar);
-        let (rep_r, stats_r, obs_r) = run_with(Engine::Runs);
+        let (rep_s, stats_s, obs_s) = run_with(Engine::Scalar, true);
+        let (rep_r, stats_r, obs_r) = run_with(Engine::Runs, true);
 
-        prop_assert_eq!(rep_s, rep_r);
+        prop_assert_eq!(&rep_s, &rep_r);
         prop_assert_eq!(stats_s, stats_r);
         prop_assert_eq!(obs_s.diff(&obs_r, 0.0), None);
+
+        for engine in [Engine::Scalar, Engine::Runs] {
+            let (rep_t, stats_t, obs_t) = run_with(engine, false);
+            prop_assert_eq!(&rep_t, &rep_s, "trace-only report under {}", engine);
+            prop_assert_eq!(stats_t, stats_s, "trace-only stats under {}", engine);
+            prop_assert!(obs_t.scalars.is_empty() && obs_t.arrays.is_empty());
+        }
     }
 }

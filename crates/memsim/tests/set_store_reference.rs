@@ -261,6 +261,41 @@ proptest! {
 }
 
 #[test]
+fn long_stream_dirties_evicts_and_redirties_before_a_drain() {
+    // Each round writes a footprint four times the largest geometry (every
+    // dirty line is evicted by a later one), then re-dirties the first
+    // stretch of lines, whose earlier dirty copies were evicted, with reads
+    // and prefetches interleaved; only then does it drain.  A dirty record
+    // that outlives its line, or misses a re-dirtying, changes the drain.
+    for k in 0..GEOMETRIES {
+        let cfg = geometry(k);
+        let line = cfg.line;
+        let mut flat = Cache::new(cfg.clone());
+        let mut reference = RefCache::new(cfg);
+        for round in 0..3u64 {
+            for i in 0..2048u64 {
+                let a = ((i * 7 + round) % 512) * line;
+                let full = i % 5 == 0;
+                assert_eq!(flat.access_line(a, true, full), reference.access_line(a, true, full));
+                let b = (i * 13 % 640) * line;
+                assert_eq!(
+                    flat.access_line(b, false, false),
+                    reference.access_line(b, false, false)
+                );
+                assert_eq!(flat.stats, reference.stats, "geometry {k} round {round} step {i}");
+            }
+            for i in 0..96u64 {
+                let a = ((i * 7 + round) % 512) * line;
+                assert_eq!(flat.access_line(a, true, false), reference.access_line(a, true, false));
+                assert_eq!(flat.prefetch_line(a + line), reference.prefetch_line(a + line));
+            }
+            assert_eq!(flat.drain_dirty(), reference.drain_dirty(), "geometry {k} round {round}");
+            assert_eq!(flat.stats, reference.stats);
+        }
+    }
+}
+
+#[test]
 fn way_indices_up_to_255_fit_the_lru_order() {
     // 256 ways in one set: the last way index is 255, the largest `u8`.
     let mut c = Cache::new(CacheConfig::write_back("wide", 256 * 32, 32, 256));

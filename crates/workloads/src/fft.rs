@@ -6,20 +6,9 @@
 //! interpreter would, plus an exact flop count.  This is the `FFT` row of
 //! Figure 1.
 
-use mbb_ir::trace::{AccessKind, AccessSink, RunRef, Scalarize};
+use mbb_ir::runs::emit_runs;
+use mbb_ir::trace::{AccessKind, AccessSink};
 use mbb_memsim::arena::{Arena, TracedArray};
-
-/// Emits one run bundle, honouring the engine override: under the scalar
-/// oracle engine the runs are expanded element by element (the exact
-/// stream the pre-run code emitted), otherwise the sink sees the compiled
-/// [`RunRef`]s and may simulate them per cache line.
-fn emit_runs(sink: &mut (impl AccessSink + ?Sized), refs: &[RunRef], count: u64) {
-    if mbb_ir::runs::current() == mbb_ir::Engine::Scalar {
-        Scalarize::new(sink).access_runs(refs, count);
-    } else {
-        sink.access_runs(refs, count);
-    }
-}
 
 /// Result of one traced FFT run.
 #[derive(Clone, Debug)]
