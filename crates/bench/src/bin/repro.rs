@@ -5,6 +5,7 @@
 //!       [--quick] [--jobs N] [--json PATH] [--list]
 //! repro gate [--quick] [--reps N] [--out DIR] [--baseline PATH]
 //!            [--tolerance F] [--write-baseline]
+//! repro ablations
 //! ```
 //!
 //! Without selectors, runs everything at full size (tens of seconds of
@@ -22,6 +23,11 @@
 //! against `--baseline` (default `bench/baseline.json`; a missing
 //! baseline skips comparison).  `--write-baseline` records the current
 //! run as the new baseline.
+//!
+//! `repro ablations` prints the seven mechanism ablations EXPERIMENTS.md
+//! cites (timing mode, associativity, padding, prefetch, regrouping, loop
+//! order, TLB).  Its tables are deterministic and pinned by
+//! `tests/golden/ablations.txt`.  Every form takes `--engine E`.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -38,6 +44,7 @@ fn usage() -> ! {
     );
     eprintln!("       repro gate [--quick] [--reps N] [--out DIR] [--baseline PATH]");
     eprintln!("                  [--tolerance F] [--write-baseline] [--engine E]");
+    eprintln!("       repro ablations [--engine E]");
     eprintln!("       E = auto|runs|scalar (interpreter engine, default auto)");
     exit(2)
 }
@@ -172,6 +179,21 @@ fn gate_main(args: impl Iterator<Item = String>) -> ! {
     }
 }
 
+fn ablations_main(mut args: impl Iterator<Item = String>) -> ! {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--engine" => mbb_ir::runs::set_default(parse_engine(args.next())),
+            "--help" | "-h" => usage(),
+            other => {
+                eprintln!("error: unknown ablations argument `{other}`");
+                usage()
+            }
+        }
+    }
+    print!("{}", mbb_bench::ablations::render());
+    exit(0)
+}
+
 fn main() {
     let registry = runner::paper_jobs();
     let mut quick = false;
@@ -180,9 +202,16 @@ fn main() {
     let mut selectors: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("gate") {
-        args.next();
-        gate_main(args)
+    match args.peek().map(String::as_str) {
+        Some("gate") => {
+            args.next();
+            gate_main(args)
+        }
+        Some("ablations") => {
+            args.next();
+            ablations_main(args)
+        }
+        _ => {}
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {

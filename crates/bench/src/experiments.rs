@@ -1,8 +1,8 @@
 //! One generator per paper table/figure.
 //!
 //! Every function returns a structured result *and* renders the same rows
-//! the paper prints, so the `repro` binary, the Criterion benches and the
-//! integration tests all share one source of truth.  Paper-side numbers are
+//! the paper prints, so the `repro` binary and the integration tests share
+//! one source of truth.  Paper-side numbers are
 //! embedded as constants for the EXPERIMENTS.md comparison.
 //!
 //! Workload sizing: the streaming kernels run at full machine geometry with

@@ -41,8 +41,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mbb_ir::interp::Interpreter;
-use mbb_ir::trace::{AccessKind, AccessSink, Buffered};
-use mbb_memsim::arena::{Arena, TracedArray};
+use mbb_ir::trace::{AccessKind, AccessSink, RunRef};
+use mbb_memsim::arena::Arena;
 use mbb_memsim::machine::MachineModel;
 use mbb_obs::json::Json;
 use mbb_obs::Meter;
@@ -274,15 +274,11 @@ pub fn run_gate(sizes: &GateSizes, mode: &'static str, reps: u32) -> GateReport 
     let triad = {
         let mut h = machine.hierarchy();
         let mut arena = Arena::new();
-        let a = TracedArray::zeroed(&mut arena, sizes.triad_n);
-        let b = TracedArray::from_fn(&mut arena, sizes.triad_n, |i| i as f64);
-        let c = TracedArray::from_fn(&mut arena, sizes.triad_n, |i| 0.5 * i as f64);
-        let refs = [
-            b.run_ref(0, 1, AccessKind::Read),
-            c.run_ref(0, 1, AccessKind::Read),
-            a.run_ref(0, 1, AccessKind::Write),
-        ];
-        let (n, passes) = (sizes.triad_n as u64, sizes.triad_passes);
+        let n = sizes.triad_n;
+        let (a, b, c) = (arena.alloc_f64(n), arena.alloc_f64(n), arena.alloc_f64(n));
+        let run = |base, kind| RunRef { base, stride: 8, size: 8, kind };
+        let refs = [run(b, AccessKind::Read), run(c, AccessKind::Read), run(a, AccessKind::Write)];
+        let (n, passes) = (n as u64, sizes.triad_passes);
         measure("triad", reps, move || {
             for _ in 0..passes {
                 h.access_runs(&refs, n);
@@ -300,8 +296,7 @@ pub fn run_gate(sizes: &GateSizes, mode: &'static str, reps: u32) -> GateReport 
         let (n, passes) = (sizes.fft_n, sizes.fft_passes);
         measure("fft", reps, move || {
             for _ in 0..passes {
-                let mut buffered = Buffered::new(&mut h);
-                std::hint::black_box(mbb_workloads::fft::fft_traced(n, &mut buffered));
+                std::hint::black_box(mbb_workloads::fft::fft_traced(n, &mut h));
             }
             h.flush();
             std::hint::black_box(h.report());

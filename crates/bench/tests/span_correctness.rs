@@ -93,9 +93,9 @@ fn nested_spans_partition_the_parent_exactly() {
     }
 
     // The nest spans partition "interp" exactly: every flop and every
-    // interpreter-issued access happens inside exactly one nest span (the
-    // per-nest buffer is flushed at each nest boundary), so children+self
-    // == parent with self == 0 on those counters.
+    // interpreter-issued access happens inside exactly one nest span (each
+    // access reaches the simulator as the nest issues it), so
+    // children+self == parent with self == 0 on those counters.
     let interp = profile
         .spans
         .iter()

@@ -15,7 +15,7 @@
 
 use mbb_ir::interp::{InterpError, Interpreter, LayoutOpts};
 use mbb_ir::program::Program;
-use mbb_ir::trace::{AccessSink, Buffered};
+use mbb_ir::trace::AccessSink;
 use mbb_memsim::hierarchy::TrafficReport;
 use mbb_memsim::machine::MachineModel;
 use mbb_memsim::timing::{predict, Prediction};
@@ -141,12 +141,9 @@ pub fn measure_native_balance(
     kernel: impl FnOnce(&mut dyn AccessSink) -> u64,
 ) -> ProgramBalance {
     let mut h = machine.hierarchy();
-    // Native kernels emit one event at a time; batch them on the way in.
     let flops = {
         let _s = mbb_obs::span!("native");
-        let mut buffered = Buffered::new(&mut h);
-        let flops = kernel(&mut buffered);
-        drop(buffered);
+        let flops = kernel(&mut h);
         mbb_obs::add_flops(flops);
         flops
     };

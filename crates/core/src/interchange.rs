@@ -2,8 +2,8 @@
 //!
 //! Interchange permutes a nest's loop levels.  Under the balance lens
 //! (§2), the loop order decides which array walks with stride one, and the
-//! memory balance of e.g. matrix multiply varies ~4× across the six orders
-//! (`cargo bench --bench ablations`).  [`auto_interchange`] turns that
+//! memory balance of e.g. matrix multiply varies ~23× across the six
+//! orders (`repro ablations`).  [`auto_interchange`] turns that
 //! observation into a tool: enumerate the legal permutations, *measure*
 //! each one's memory balance on the simulator, keep the best — the §4
 //! "bandwidth-based performance tuning" idea made concrete.

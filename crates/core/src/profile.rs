@@ -2,8 +2,8 @@
 //!
 //! [`measure_program_balance`](crate::balance::measure_program_balance)
 //! wraps interpretation in an `"interp"` span; the interpreter opens one
-//! `"nest:<name>"` span per loop nest (flushing its access buffer at each
-//! nest boundary), and the final writeback flush runs under a sibling
+//! `"nest:<name>"` span per loop nest, which sees exactly the accesses the
+//! nest issues, and the final writeback flush runs under a sibling
 //! `"flush"` span.  Those spans partition the run's traffic exactly, so
 //! this module can rebuild the paper's program-balance table *per nest*:
 //! which loop nest moved how many bytes on which channel, per flop — the

@@ -249,155 +249,3 @@ mod tests {
         assert_eq!((cut[0].1, cut[0].2), (1, 2));
     }
 }
-
-// ---------------------------------------------------------------------------
-// Dinic's algorithm
-// ---------------------------------------------------------------------------
-
-impl FlowNetwork {
-    /// Runs Dinic's algorithm from `s` to `t`: level graph by BFS, blocking
-    /// flows by iterative DFS with the current-arc optimisation.
-    /// `O(V²E)` worst case, typically much faster than Edmonds–Karp on the
-    /// dense intersection graphs the Figure-5 construction produces.
-    /// Mutates the residual network; returns the max-flow value.
-    pub fn max_flow_dinic(&mut self, s: usize, t: usize) -> u64 {
-        assert_ne!(s, t, "source and sink must differ");
-        let n = self.len();
-        let mut flow = 0u64;
-        let mut level = vec![-1i32; n];
-        let mut it = vec![0usize; n];
-        loop {
-            // Level graph.
-            level.iter_mut().for_each(|l| *l = -1);
-            level[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
-            while let Some(u) = queue.pop_front() {
-                for &ai in &self.adj[u] {
-                    let arc = self.arcs[ai];
-                    if arc.cap > 0 && level[arc.to] < 0 {
-                        level[arc.to] = level[u] + 1;
-                        queue.push_back(arc.to);
-                    }
-                }
-            }
-            if level[t] < 0 {
-                return flow;
-            }
-            it.iter_mut().for_each(|k| *k = 0);
-            // Blocking flow via iterative DFS.
-            loop {
-                let pushed = self.dinic_dfs(s, t, u64::MAX, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                flow += pushed;
-            }
-        }
-    }
-
-    fn dinic_dfs(
-        &mut self,
-        s: usize,
-        t: usize,
-        limit: u64,
-        level: &[i32],
-        it: &mut [usize],
-    ) -> u64 {
-        // Iterative DFS carrying the path of arc indices.
-        let mut path: Vec<usize> = Vec::new();
-        let mut u = s;
-        loop {
-            if u == t {
-                // Bottleneck and augmentation.
-                let mut bottleneck = limit;
-                for &ai in &path {
-                    bottleneck = bottleneck.min(self.arcs[ai].cap);
-                }
-                for &ai in &path {
-                    self.arcs[ai].cap -= bottleneck;
-                    let rev = self.arcs[ai].rev;
-                    self.arcs[rev].cap += bottleneck;
-                }
-                return bottleneck;
-            }
-            let mut advanced = false;
-            while it[u] < self.adj[u].len() {
-                let ai = self.adj[u][it[u]];
-                let arc = self.arcs[ai];
-                if arc.cap > 0 && level[arc.to] == level[u] + 1 {
-                    path.push(ai);
-                    u = arc.to;
-                    advanced = true;
-                    break;
-                }
-                it[u] += 1;
-            }
-            if advanced {
-                continue;
-            }
-            // Dead end: retreat (or give up at the source).
-            if u == s {
-                return 0;
-            }
-            let ai = path.pop().expect("non-source dead end has a parent");
-            let parent = self.arcs[self.arcs[ai].rev].to;
-            it[parent] += 1;
-            u = parent;
-        }
-    }
-}
-
-#[cfg(test)]
-mod dinic_tests {
-    use super::*;
-
-    #[test]
-    fn dinic_matches_edmonds_karp_on_classic() {
-        let build = || {
-            let mut n = FlowNetwork::new(6);
-            n.add_arc(0, 1, 16);
-            n.add_arc(0, 2, 13);
-            n.add_arc(1, 2, 10);
-            n.add_arc(2, 1, 4);
-            n.add_arc(1, 3, 12);
-            n.add_arc(3, 2, 9);
-            n.add_arc(2, 4, 14);
-            n.add_arc(4, 3, 7);
-            n.add_arc(3, 5, 20);
-            n.add_arc(4, 5, 4);
-            n
-        };
-        assert_eq!(build().max_flow_dinic(0, 5), 23);
-        assert_eq!(build().max_flow(0, 5), 23);
-    }
-
-    #[test]
-    fn dinic_residual_gives_the_same_cut() {
-        let mut n = FlowNetwork::new(4);
-        n.add_arc(0, 1, 3);
-        n.add_arc(1, 3, 1);
-        n.add_arc(0, 2, 4);
-        n.add_arc(2, 3, 2);
-        let f = n.max_flow_dinic(0, 3);
-        assert_eq!(f, 3);
-        let cut = n.min_cut_arcs(0);
-        let cap: u64 = cut
-            .iter()
-            .map(|&(_, u, v)| match (u, v) {
-                (0, 1) => 3,
-                (1, 3) => 1,
-                (0, 2) => 4,
-                (2, 3) => 2,
-                _ => panic!("unexpected cut arc"),
-            })
-            .sum();
-        assert_eq!(cap, f);
-    }
-
-    #[test]
-    fn dinic_disconnected_is_zero() {
-        let mut n = FlowNetwork::new(3);
-        n.add_arc(0, 1, 5);
-        assert_eq!(n.max_flow_dinic(0, 2), 0);
-    }
-}

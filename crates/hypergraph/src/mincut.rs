@@ -53,23 +53,12 @@ pub fn min_hyperedge_cut(hg: &Hypergraph, s: usize, t: usize) -> CutResult {
     min_hyperedge_cut_sets(hg, &[s], &[t])
 }
 
-/// As [`min_hyperedge_cut`], but running Dinic's algorithm for the
-/// max-flow phase (identical results, often faster on the dense
-/// intersection graphs; cross-validated by property tests).
-pub fn min_hyperedge_cut_dinic(hg: &Hypergraph, s: usize, t: usize) -> CutResult {
-    min_cut_impl(hg, &[s], &[t], true)
-}
-
 /// Generalised form: separates every node in `sources` from every node in
 /// `sinks` (used by the recursive-bisection k-way heuristic).
 ///
 /// # Panics
 /// Panics if the sets intersect, are empty, or contain out-of-range nodes.
 pub fn min_hyperedge_cut_sets(hg: &Hypergraph, sources: &[usize], sinks: &[usize]) -> CutResult {
-    min_cut_impl(hg, sources, sinks, false)
-}
-
-fn min_cut_impl(hg: &Hypergraph, sources: &[usize], sinks: &[usize], dinic: bool) -> CutResult {
     assert!(!sources.is_empty() && !sinks.is_empty(), "need at least one source and sink");
     for &n in sources.iter().chain(sinks) {
         assert!(n < hg.num_nodes, "terminal out of range");
@@ -105,7 +94,7 @@ fn min_cut_impl(hg: &Hypergraph, sources: &[usize], sinks: &[usize], dinic: bool
         }
     }
 
-    let cut_weight = if dinic { net.max_flow_dinic(sp, tp) } else { net.max_flow(sp, tp) };
+    let cut_weight = net.max_flow(sp, tp);
     let reach = net.residual_reachable(sp);
     // A hyperedge is cut when its split arc crosses the residual frontier.
     let cut_edges: Vec<usize> = (0..ne).filter(|&e| reach[2 * e] && !reach[2 * e + 1]).collect();

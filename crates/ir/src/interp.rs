@@ -15,7 +15,7 @@ use std::fmt;
 
 use crate::expr::{Expr, Ref};
 use crate::program::{ArrayId, Init, LoopNest, Program, SourceId, Stmt};
-use crate::trace::{Access, AccessSink, Buffered};
+use crate::trace::{Access, AccessSink};
 
 /// Controls how arrays are laid out in the simulated address space.
 ///
@@ -351,13 +351,8 @@ impl<'p> Interpreter<'p> {
         self.layout
     }
 
-    /// Runs the whole program, streaming accesses into `sink`.
-    ///
-    /// Accesses are emitted in batches: the interpreter's inner loops push
-    /// into a [`Buffered`] adapter (a plain, inlinable `Vec` push) and the
-    /// sink receives whole runs via [`AccessSink::access_block`].  The
-    /// sink observes the same events in the same order as it would one at
-    /// a time, so results are identical to the unbatched path.
+    /// Runs the whole program, streaming accesses into `sink` one at a
+    /// time, in program order.
     pub fn run(mut self, sink: &mut dyn AccessSink) -> Result<RunResult, InterpError> {
         if crate::runs::current() != crate::runs::Engine::Scalar {
             return crate::runs::run_compiled(self, sink);
@@ -365,26 +360,17 @@ impl<'p> Interpreter<'p> {
         if crate::budget::is_active() {
             self.fuel = crate::budget::CHECK_BLOCK;
         }
-        let mut buffered = Buffered::new(sink);
-        if mbb_obs::timing_enabled() {
-            // Per-nest attribution: each nest gets a span, and the batch
-            // buffer is flushed at every nest boundary so its accesses are
-            // simulated — and therefore counted — inside the right span.
-            // Flops are attributed by diffing the run's own counter.
-            for nest in &self.prog.nests {
-                let _span = mbb_obs::span!("nest:{}", nest.name);
-                let flops_before = self.stats.flops;
-                let result = self.run_nest(nest, &mut buffered);
-                buffered.flush();
-                mbb_obs::add_flops(self.stats.flops - flops_before);
-                result?;
-            }
-        } else {
-            for nest in &self.prog.nests {
-                self.run_nest(nest, &mut buffered)?;
-            }
+        // Per-nest attribution: each nest gets a span, which sees exactly
+        // the accesses the nest emits, and the nest's flops are attributed
+        // by diffing the run's own counter.  Both are no-ops without a
+        // collector.
+        for nest in &self.prog.nests {
+            let _span = mbb_obs::span!("nest:{}", nest.name);
+            let flops_before = self.stats.flops;
+            let result = self.run_nest(nest, sink);
+            mbb_obs::add_flops(self.stats.flops - flops_before);
+            result?;
         }
-        buffered.flush();
         let observation = self.observe();
         Ok(RunResult { stats: self.stats, observation })
     }
@@ -412,22 +398,19 @@ impl<'p> Interpreter<'p> {
         Observation { scalars, arrays }
     }
 
-    // The interpreter internals are generic over the sink so the per-event
-    // call is monomorphised (and inlined, for `Buffered`) instead of a
-    // virtual dispatch per array element.
-    pub(crate) fn run_nest<S: AccessSink + ?Sized>(
+    pub(crate) fn run_nest(
         &mut self,
         nest: &LoopNest,
-        sink: &mut S,
+        sink: &mut dyn AccessSink,
     ) -> Result<(), InterpError> {
         self.run_level(nest, 0, sink)
     }
 
-    fn run_level<S: AccessSink + ?Sized>(
+    fn run_level(
         &mut self,
         nest: &LoopNest,
         level: usize,
-        sink: &mut S,
+        sink: &mut dyn AccessSink,
     ) -> Result<(), InterpError> {
         if level == nest.loops.len() {
             self.stats.iterations += 1;
@@ -463,11 +446,7 @@ impl<'p> Interpreter<'p> {
         a.constant + a.terms.iter().map(|&(v, c)| c * self.vars[v.0 as usize]).sum::<i64>()
     }
 
-    fn exec_stmt<S: AccessSink + ?Sized>(
-        &mut self,
-        stmt: &Stmt,
-        sink: &mut S,
-    ) -> Result<(), InterpError> {
+    fn exec_stmt(&mut self, stmt: &Stmt, sink: &mut dyn AccessSink) -> Result<(), InterpError> {
         match stmt {
             Stmt::Assign { lhs, rhs } => {
                 let value = self.eval_expr(rhs, sink)?;
@@ -521,7 +500,7 @@ impl<'p> Interpreter<'p> {
         Ok((index, addr))
     }
 
-    fn load<S: AccessSink + ?Sized>(&mut self, r: &Ref, sink: &mut S) -> Result<f64, InterpError> {
+    fn load(&mut self, r: &Ref, sink: &mut dyn AccessSink) -> Result<f64, InterpError> {
         match r {
             Ref::Scalar(_) if !self.values => Ok(0.0),
             Ref::Scalar(s) => Ok(self.scalars[s.0 as usize]),
@@ -534,12 +513,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    fn store<S: AccessSink + ?Sized>(
-        &mut self,
-        r: &Ref,
-        value: f64,
-        sink: &mut S,
-    ) -> Result<(), InterpError> {
+    fn store(&mut self, r: &Ref, value: f64, sink: &mut dyn AccessSink) -> Result<(), InterpError> {
         match r {
             Ref::Scalar(_) if !self.values => Ok(()),
             Ref::Scalar(s) => {
@@ -558,11 +532,7 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    fn eval_expr<S: AccessSink + ?Sized>(
-        &mut self,
-        e: &Expr,
-        sink: &mut S,
-    ) -> Result<f64, InterpError> {
+    fn eval_expr(&mut self, e: &Expr, sink: &mut dyn AccessSink) -> Result<f64, InterpError> {
         match e {
             Expr::Const(c) => Ok(*c),
             Expr::Load(r) => self.load(r, sink),

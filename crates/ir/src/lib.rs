@@ -51,7 +51,7 @@ pub use program::{
     ArrayDecl, ArrayId, Init, Loop, LoopNest, Program, ScalarDecl, ScalarId, SourceId, Stmt, VarId,
 };
 pub use runs::Engine;
-pub use trace::{Access, AccessKind, AccessSink, CountingSink, NullSink, RunRef, TeeSink, VecSink};
+pub use trace::{Access, AccessKind, AccessSink, CountingSink, NullSink, RunRef, VecSink};
 pub use validate::{validate, ValidateError};
 
 // The parallel experiment runner (`mbb-bench`) executes whole simulations

@@ -18,7 +18,7 @@
 //!
 //! Nests the lowering cannot express — conditional bodies, modular
 //! subscripts, rank-mismatched references, nests without loops — fall back
-//! to the scalar interpreter per nest, through the same buffered sink.
+//! to the scalar interpreter per nest, into the same sink.
 //!
 //! ## The oracle invariant
 //!
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use crate::expr::{Affine, BinOp, Expr, Ref, UnOp};
 use crate::interp::{input_key, input_value, InterpError, Interpreter, RunResult};
 use crate::program::{ArrayId, LoopNest, Program, SourceId, Stmt};
-use crate::trace::{AccessKind, AccessSink, Buffered, RunRef, Scalarize};
+use crate::trace::{AccessKind, AccessSink, RunRef, Scalarize};
 
 /// Which execution engine [`Interpreter::run`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -345,7 +345,7 @@ struct InputState {
 
 /// Runs a whole program under the runs engine.  Mirrors
 /// [`Interpreter::run`]'s scalar body: same budget-fuel initialisation,
-/// same batching sink, same per-nest spans and flop attribution.
+/// same per-nest spans and flop attribution.
 pub(crate) fn run_compiled(
     mut interp: Interpreter<'_>,
     sink: &mut dyn AccessSink,
@@ -355,37 +355,25 @@ pub(crate) fn run_compiled(
     }
     let prog = interp.prog;
     let plans: Vec<Option<NestPlan>> = prog.nests.iter().map(|n| compile_nest(prog, n)).collect();
-    let mut buffered = Buffered::new(sink);
-    if mbb_obs::timing_enabled() {
-        for (nest, plan) in prog.nests.iter().zip(&plans) {
-            let _span = mbb_obs::span!("nest:{}", nest.name);
-            let flops_before = interp.stats.flops;
-            let result = match plan {
-                Some(p) => exec_nest(&mut interp, nest, p, &mut buffered),
-                None => interp.run_nest(nest, &mut buffered),
-            };
-            buffered.flush();
-            mbb_obs::add_flops(interp.stats.flops - flops_before);
-            result?;
-        }
-    } else {
-        for (nest, plan) in prog.nests.iter().zip(&plans) {
-            match plan {
-                Some(p) => exec_nest(&mut interp, nest, p, &mut buffered)?,
-                None => interp.run_nest(nest, &mut buffered)?,
-            }
-        }
+    for (nest, plan) in prog.nests.iter().zip(&plans) {
+        let _span = mbb_obs::span!("nest:{}", nest.name);
+        let flops_before = interp.stats.flops;
+        let result = match plan {
+            Some(p) => exec_nest(&mut interp, nest, p, sink),
+            None => interp.run_nest(nest, sink),
+        };
+        mbb_obs::add_flops(interp.stats.flops - flops_before);
+        result?;
     }
-    buffered.flush();
     let observation = interp.observe();
     Ok(RunResult { stats: interp.stats, observation })
 }
 
-fn exec_nest<S: AccessSink + ?Sized>(
+fn exec_nest(
     interp: &mut Interpreter<'_>,
     nest: &LoopNest,
     plan: &NestPlan,
-    sink: &mut S,
+    sink: &mut dyn AccessSink,
 ) -> Result<(), InterpError> {
     let mut st = NestState {
         idx: Vec::with_capacity(plan.refs.len()),
@@ -399,12 +387,12 @@ fn exec_nest<S: AccessSink + ?Sized>(
 /// Replicates [`Interpreter`]'s `run_level` over the outer loops — same
 /// zero-step check order, same bound evaluation, same variable updates —
 /// and hands each innermost entry to [`run_inner`].
-fn walk<S: AccessSink + ?Sized>(
+fn walk(
     interp: &mut Interpreter<'_>,
     nest: &LoopNest,
     plan: &NestPlan,
     st: &mut NestState,
-    sink: &mut S,
+    sink: &mut dyn AccessSink,
     level: usize,
 ) -> Result<(), InterpError> {
     if level == nest.loops.len() - 1 {
@@ -429,12 +417,12 @@ fn walk<S: AccessSink + ?Sized>(
 /// chunked emission and value evaluation, and — when the pre-check found a
 /// violation — exact replication of the scalar engine's error (including
 /// its ordering against budget exhaustion).
-fn run_inner<S: AccessSink + ?Sized>(
+fn run_inner(
     interp: &mut Interpreter<'_>,
     nest: &LoopNest,
     plan: &NestPlan,
     st: &mut NestState,
-    sink: &mut S,
+    sink: &mut dyn AccessSink,
 ) -> Result<(), InterpError> {
     let lp = nest.loops.last().expect("compiled nests have loops");
     if lp.step == 0 {
@@ -573,11 +561,11 @@ fn run_inner<S: AccessSink + ?Sized>(
 /// exactly the scalar emission order, and the values computed afterwards
 /// cannot influence the addresses, which are pre-resolved.  A trace-only
 /// run stops after the bundle and the counters.
-fn exec_chunk<S: AccessSink + ?Sized>(
+fn exec_chunk(
     interp: &mut Interpreter<'_>,
     plan: &NestPlan,
     st: &mut NestState,
-    sink: &mut S,
+    sink: &mut dyn AccessSink,
     m: u64,
 ) {
     st.chunk_refs.clear();

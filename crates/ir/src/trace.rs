@@ -82,26 +82,6 @@ pub trait AccessSink {
     /// Records one access.
     fn access(&mut self, a: Access);
 
-    /// Records a run of accesses in program order.
-    ///
-    /// Semantically identical to calling [`AccessSink::access`] once per
-    /// element — the default does exactly that — but sinks that can
-    /// amortise per-event overhead (virtual dispatch, counter updates)
-    /// across a whole run override it.  Producers batch with [`Buffered`].
-    fn access_block(&mut self, block: &[Access]) {
-        for &a in block {
-            self.access(a);
-        }
-    }
-
-    /// Records `count` iterations of a single strided stream.
-    ///
-    /// Equivalent to `access(r.at(k))` for `k` in `0..count`; the default
-    /// delegates to [`AccessSink::access_runs`] with a one-stream group.
-    fn access_run(&mut self, r: RunRef, count: u64) {
-        self.access_runs(std::slice::from_ref(&r), count);
-    }
-
     /// Records `count` interleaved iterations of a group of strided
     /// streams: iteration `k` performs `refs[0].at(k)`, `refs[1].at(k)`, …
     /// in order, then iteration `k+1` follows.
@@ -126,8 +106,6 @@ pub struct NullSink;
 
 impl AccessSink for NullSink {
     fn access(&mut self, _a: Access) {}
-
-    fn access_block(&mut self, _block: &[Access]) {}
 
     fn access_runs(&mut self, _refs: &[RunRef], _count: u64) {}
 }
@@ -211,44 +189,11 @@ impl AccessSink for VecSink {
     fn access(&mut self, a: Access) {
         self.events.push(a);
     }
-
-    fn access_block(&mut self, block: &[Access]) {
-        self.events.extend_from_slice(block);
-    }
-}
-
-/// Adapter that feeds one access stream into two sinks.
-pub struct TeeSink<'a, A: AccessSink, B: AccessSink> {
-    /// First downstream sink.
-    pub a: &'a mut A,
-    /// Second downstream sink.
-    pub b: &'a mut B,
-}
-
-impl<'a, A: AccessSink, B: AccessSink> AccessSink for TeeSink<'a, A, B> {
-    fn access(&mut self, ev: Access) {
-        self.a.access(ev);
-        self.b.access(ev);
-    }
-
-    fn access_block(&mut self, block: &[Access]) {
-        self.a.access_block(block);
-        self.b.access_block(block);
-    }
-
-    fn access_runs(&mut self, refs: &[RunRef], count: u64) {
-        self.a.access_runs(refs, count);
-        self.b.access_runs(refs, count);
-    }
 }
 
 impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     fn access(&mut self, a: Access) {
         (**self).access(a)
-    }
-
-    fn access_block(&mut self, block: &[Access]) {
-        (**self).access_block(block)
     }
 
     fn access_runs(&mut self, refs: &[RunRef], count: u64) {
@@ -279,86 +224,8 @@ impl<S: AccessSink + ?Sized> AccessSink for Scalarize<'_, S> {
     fn access(&mut self, a: Access) {
         self.inner.access(a);
     }
-
-    fn access_block(&mut self, block: &[Access]) {
-        self.inner.access_block(block);
-    }
-    // access_run / access_runs deliberately NOT overridden: the trait
-    // default expands them through `self.access`, which forwards.
-}
-
-/// Batches accesses on the producer side and forwards them to the inner
-/// sink in blocks via [`AccessSink::access_block`].
-///
-/// The interpreter and the traced native kernels emit one event at a time;
-/// routing them through a `Buffered` turns millions of virtual calls into
-/// thousands of block calls without changing what the inner sink observes:
-/// events arrive in the same order, so any sink produces identical results
-/// through a `Buffered` as when driven directly.
-///
-/// Dropping the adapter flushes it; call [`Buffered::flush`] explicitly
-/// before reading results out of the inner sink while the adapter is still
-/// alive.
-pub struct Buffered<'a, S: AccessSink + ?Sized> {
-    sink: &'a mut S,
-    buf: Vec<Access>,
-    cap: usize,
-}
-
-/// Events per [`Buffered`] block: large enough to amortise per-block costs,
-/// small enough that a block stays resident in L1 (16 B × 256 = 4 KB).
-pub const BUFFERED_BLOCK: usize = 256;
-
-impl<'a, S: AccessSink + ?Sized> Buffered<'a, S> {
-    /// Wraps `sink` with the default block size.
-    pub fn new(sink: &'a mut S) -> Self {
-        Self::with_capacity(sink, BUFFERED_BLOCK)
-    }
-
-    /// Wraps `sink` with an explicit block size (≥ 1).
-    pub fn with_capacity(sink: &'a mut S, capacity: usize) -> Self {
-        assert!(capacity >= 1, "block size must be at least 1");
-        Buffered { sink, buf: Vec::with_capacity(capacity), cap: capacity }
-    }
-
-    /// Forwards everything buffered so far to the inner sink.
-    pub fn flush(&mut self) {
-        if !self.buf.is_empty() {
-            self.sink.access_block(&self.buf);
-            self.buf.clear();
-        }
-    }
-}
-
-impl<S: AccessSink + ?Sized> AccessSink for Buffered<'_, S> {
-    #[inline]
-    fn access(&mut self, a: Access) {
-        self.buf.push(a);
-        if self.buf.len() == self.cap {
-            self.flush();
-        }
-    }
-
-    fn access_block(&mut self, block: &[Access]) {
-        // Order must be preserved: drain our buffer first, then hand the
-        // caller's block straight through (no point re-buffering a batch).
-        self.flush();
-        self.sink.access_block(block);
-    }
-
-    fn access_runs(&mut self, refs: &[RunRef], count: u64) {
-        // Same ordering rule as `access_block`: anything buffered precedes
-        // the run, and the run itself goes straight to the inner sink so
-        // its fast path is preserved.
-        self.flush();
-        self.sink.access_runs(refs, count);
-    }
-}
-
-impl<S: AccessSink + ?Sized> Drop for Buffered<'_, S> {
-    fn drop(&mut self) {
-        self.flush();
-    }
+    // access_runs deliberately NOT overridden: the trait default expands
+    // it through `self.access`, which forwards.
 }
 
 #[cfg(test)]
@@ -387,58 +254,6 @@ mod tests {
         assert_eq!(v.events.len(), 2);
         assert_eq!(v.events[0], Access::write(16, 8));
         assert_eq!(v.events[1], Access::read(0, 4));
-    }
-
-    #[test]
-    fn access_block_default_matches_scalar() {
-        let evs = [Access::read(0, 8), Access::write(8, 8), Access::read(16, 4)];
-        let mut scalar = CountingSink::new();
-        for &a in &evs {
-            scalar.access(a);
-        }
-        let mut block = CountingSink::new();
-        block.access_block(&evs);
-        assert_eq!(scalar, block);
-    }
-
-    #[test]
-    fn buffered_preserves_order_and_flushes_on_drop() {
-        let evs: Vec<Access> = (0..10).map(|k| Access::read(k * 8, 8)).collect();
-        let mut v = VecSink::new();
-        {
-            let mut b = Buffered::with_capacity(&mut v, 3);
-            for &a in &evs {
-                b.access(a);
-            }
-            // Drop flushes the 10th event left in the buffer.
-        }
-        assert_eq!(v.events, evs);
-    }
-
-    #[test]
-    fn buffered_block_input_drains_buffer_first() {
-        let mut v = VecSink::new();
-        {
-            let mut b = Buffered::with_capacity(&mut v, 8);
-            b.access(Access::read(0, 8));
-            b.access_block(&[Access::write(8, 8), Access::read(16, 8)]);
-            b.access(Access::write(24, 8));
-            b.flush();
-        }
-        let addrs: Vec<u64> = v.events.iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, [0, 8, 16, 24]);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut c = CountingSink::new();
-        let mut v = VecSink::new();
-        {
-            let mut t = TeeSink { a: &mut c, b: &mut v };
-            t.access(Access::read(0, 8));
-        }
-        assert_eq!(c.reads, 1);
-        assert_eq!(v.events.len(), 1);
     }
 
     #[test]
@@ -488,19 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_flushes_before_forwarding_runs() {
-        let mut v = VecSink::new();
-        {
-            let mut b = Buffered::with_capacity(&mut v, 8);
-            b.access(Access::read(0, 8));
-            b.access_run(RunRef { base: 8, stride: 8, size: 8, kind: AccessKind::Read }, 2);
-            b.access(Access::read(24, 8));
-        }
-        let addrs: Vec<u64> = v.events.iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, [0, 8, 16, 24]);
-    }
-
-    #[test]
     fn scalarize_expands_runs_elementwise() {
         // A sink that panics on the run path proves Scalarize strips it.
         struct NoRuns(VecSink);
@@ -515,7 +317,7 @@ mod tests {
         let mut inner = NoRuns(VecSink::new());
         {
             let mut s = Scalarize::new(&mut inner);
-            s.access_run(RunRef { base: 0, stride: 8, size: 8, kind: AccessKind::Read }, 3);
+            s.access_runs(&[RunRef { base: 0, stride: 8, size: 8, kind: AccessKind::Read }], 3);
         }
         assert_eq!(inner.0.events.len(), 3);
     }

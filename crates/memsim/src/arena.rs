@@ -58,11 +58,6 @@ pub struct TracedArray {
 }
 
 impl TracedArray {
-    /// Allocates a zero-filled buffer.
-    pub fn zeroed(arena: &mut Arena, n: usize) -> Self {
-        TracedArray { base: arena.alloc_f64(n), data: vec![0.0; n] }
-    }
-
     /// Allocates a buffer initialised by `f(index)`.
     pub fn from_fn(arena: &mut Arena, n: usize, f: impl Fn(usize) -> f64) -> Self {
         TracedArray { base: arena.alloc_f64(n), data: (0..n).map(f).collect() }
@@ -85,9 +80,9 @@ impl TracedArray {
 
     /// Loads cell `i`, reporting the access.
     ///
-    /// Generic over the sink so kernels driving a concrete sink (the
-    /// batching [`mbb_ir::trace::Buffered`], a counter) get an inlined
-    /// call; `&mut dyn AccessSink` still works as before.
+    /// Generic over the sink so kernels driving a concrete sink (a
+    /// hierarchy, a counter) get an inlined call; `&mut dyn AccessSink`
+    /// works too.
     #[inline]
     pub fn get(&self, i: usize, sink: &mut (impl AccessSink + ?Sized)) -> f64 {
         sink.access(Access::read(self.base + (i as u64) * 8, 8));
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn traced_accesses_report_addresses() {
         let mut arena = Arena::new();
-        let mut t = TracedArray::zeroed(&mut arena, 4);
+        let mut t = TracedArray::from_fn(&mut arena, 4, |_| 0.0);
         let mut sink = VecSink::new();
         t.set(2, 7.0, &mut sink);
         assert_eq!(t.get(2, &mut sink), 7.0);

@@ -649,15 +649,6 @@ impl AccessSink for Hierarchy {
         self.access_one(a);
     }
 
-    fn access_block(&mut self, block: &[Access]) {
-        // One odometer tick and one virtual call for the whole run; the
-        // per-event work is the inlined fast path.
-        mbb_obs::tick_accesses(block.len() as u64);
-        for &a in block {
-            self.access_one(a);
-        }
-    }
-
     fn access_runs(&mut self, refs: &[RunRef], count: u64) {
         mbb_obs::tick_accesses(count.wrapping_mul(refs.len() as u64));
         self.run_walk(refs, count);
@@ -780,34 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_streams_report_identically() {
-        // A mixed stream: hits, misses, writebacks, straddlers, zero-size.
-        let mut trace = Vec::new();
-        for k in 0..2048u64 {
-            let addr = (k.wrapping_mul(0x9E37_79B9).wrapping_add(7)) % 8192;
-            trace.push(if k % 3 == 0 { Access::write(addr, 8) } else { Access::read(addr, 8) });
-        }
-        trace.push(Access::read(28, 8)); // straddler
-        trace.push(Access { addr: 40, size: 0, kind: AccessKind::Read });
-
-        let mut scalar = two_level();
-        for &a in &trace {
-            scalar.access(a);
-        }
-        let mut batched = two_level();
-        batched.access_block(&trace);
-        let mut buffered = two_level();
-        {
-            let mut b = mbb_ir::trace::Buffered::with_capacity(&mut buffered, 13);
-            for &a in &trace {
-                b.access(a);
-            }
-        }
-        assert_eq!(scalar.report(), batched.report());
-        assert_eq!(scalar.report(), buffered.report());
-    }
-
-    #[test]
     fn access_ticks_the_odometer_once_per_event() {
         let before = crate::events::so_far();
         let mut h = two_level();
@@ -815,15 +778,6 @@ mod tests {
             h.access(Access::read(k * 8, 8));
         }
         assert_eq!(crate::events::so_far() - before, 100);
-    }
-
-    #[test]
-    fn access_block_ticks_the_odometer_once_per_event() {
-        let before = crate::events::so_far();
-        let mut h = two_level();
-        let block: Vec<Access> = (0..64u64).map(|k| Access::read(k * 8, 8)).collect();
-        h.access_block(&block);
-        assert_eq!(crate::events::so_far() - before, 64);
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use mbb_ir::trace::{Access, AccessKind, AccessSink, Buffered};
+use mbb_ir::trace::{Access, AccessKind, AccessSink};
 
 /// An [`AccessSink`] that serialises accesses to a writer, one per line.
 pub struct TraceWriter<W: Write> {
@@ -84,12 +84,10 @@ pub fn parse_line(line: &str) -> Result<Access, String> {
 /// Replays a trace from a reader into a sink; blank lines and `#` comments
 /// are skipped.  Returns the number of accesses replayed.
 ///
-/// Parsed accesses reach the sink in batches (via
-/// [`mbb_ir::trace::AccessSink::access_block`]) in their original order,
+/// Parsed accesses reach the sink one at a time in their original order,
 /// so the sink sees exactly the stream the file records.
 pub fn replay<R: BufRead>(reader: R, sink: &mut dyn AccessSink) -> io::Result<u64> {
     let mut count = 0;
-    let mut batched = Buffered::new(sink);
     for (k, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -99,7 +97,7 @@ pub fn replay<R: BufRead>(reader: R, sink: &mut dyn AccessSink) -> io::Result<u6
         let a = parse_line(trimmed).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", k + 1))
         })?;
-        batched.access(a);
+        sink.access(a);
         count += 1;
     }
     Ok(count)
@@ -138,28 +136,6 @@ mod tests {
         let n = replay(io::BufReader::new(&buf[..]), &mut replayed).unwrap();
         assert_eq!(n, 128);
         assert_eq!(direct.report(), replayed.report());
-    }
-
-    #[test]
-    fn round_trip_through_batched_path_matches_scalar_feed() {
-        let p = little_program();
-        // Record the trace (the writer sees batches from the interpreter).
-        let mut buf = Vec::new();
-        {
-            let mut w = TraceWriter::new(&mut buf);
-            interp::run_traced(&p, &mut w).unwrap();
-        }
-        let m = MachineModel::origin2000();
-        // Replay (batched internally) …
-        let mut batched = m.hierarchy();
-        let n = replay(io::BufReader::new(&buf[..]), &mut batched).unwrap();
-        // … versus feeding the same parsed events one at a time.
-        let mut scalar = m.hierarchy();
-        for line in std::str::from_utf8(&buf).unwrap().lines() {
-            scalar.access(parse_line(line).unwrap());
-        }
-        assert_eq!(n, 128);
-        assert_eq!(batched.report(), scalar.report());
     }
 
     #[test]

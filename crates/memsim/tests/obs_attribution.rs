@@ -31,6 +31,12 @@ fn mixed_trace() -> Vec<Access> {
     trace
 }
 
+fn feed(h: &mut Hierarchy, trace: &[Access]) {
+    for &a in trace {
+        h.access(a);
+    }
+}
+
 #[track_caller]
 fn assert_mirrors(delta: &mbb_obs::Counters, report: &mbb_memsim::hierarchy::TrafficReport) {
     for (k, &bytes) in report.channel_bytes.iter().enumerate() {
@@ -56,7 +62,7 @@ fn span_delta_equals_traffic_report() {
     let mut h = two_level();
     {
         let _s = mbb_obs::span!("sim");
-        h.access_block(&trace);
+        feed(&mut h, &trace);
         h.flush();
     }
     let p = c.finish();
@@ -77,11 +83,11 @@ fn sibling_spans_partition_the_report() {
         let _outer = mbb_obs::span!("run");
         {
             let _a = mbb_obs::span!("first-half");
-            h.access_block(&trace[..mid]);
+            feed(&mut h, &trace[..mid]);
         }
         {
             let _b = mbb_obs::span!("second-half");
-            h.access_block(&trace[mid..]);
+            feed(&mut h, &trace[mid..]);
         }
         {
             let _f = mbb_obs::span!("flush");
@@ -141,7 +147,7 @@ fn attribution_is_identical_across_worker_threads() {
                 let mut h = two_level();
                 {
                     let _s = mbb_obs::span!("sim");
-                    h.access_block(&trace);
+                    feed(&mut h, &trace);
                     h.flush();
                 }
                 let p = c.finish();
@@ -163,7 +169,7 @@ fn without_a_collector_only_the_access_count_moves() {
     let before = mbb_obs::snapshot();
     let mut h = two_level();
     let trace = mixed_trace();
-    h.access_block(&trace);
+    feed(&mut h, &trace);
     h.flush();
     let delta = mbb_obs::snapshot().delta_since(&before);
     assert_eq!(delta.accesses, trace.len() as u64, "the access count is always on");

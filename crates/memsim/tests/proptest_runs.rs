@@ -1,16 +1,16 @@
 //! Property tests for the run-compiled access path.
 //!
-//! Two contracts under test, both "byte-identical or bust":
+//! Three contracts under test, all "byte-identical or bust":
 //!
 //! 1. **Sink level** — for *any* group of strided streams and *any*
 //!    hierarchy geometry, [`AccessSink::access_runs`] (the symbolic
 //!    per-cache-line walk, with its scalar-replay fallback for windows it
 //!    cannot prove) must report identically to the per-element expansion
-//!    `refs[j].at(k)` fed through [`AccessSink::access`] and through
-//!    [`AccessSink::access_block`].  The strategies deliberately include
-//!    zero, negative, non-unit and page-crossing strides, plus bases that
-//!    wrap `u64` under negative strides, so the eligibility screen and the
-//!    fallback path are exercised as often as the fast path.
+//!    `refs[j].at(k)` fed through [`AccessSink::access`].  The strategies
+//!    deliberately include zero, negative, non-unit and page-crossing
+//!    strides, plus bases that wrap `u64` under negative strides, so the
+//!    eligibility screen and the fallback path are exercised as often as
+//!    the fast path.
 //!
 //! 2. **Engine level** — a random affine loop nest (depth ≤ 4, mixed
 //!    positive/negative/zero subscript coefficients, non-power-of-two
@@ -20,10 +20,13 @@
 //!    and a trace-only run under either engine must produce the value
 //!    run's report and stats.
 //!
-//! The zoo is the same six recipes as `proptest_batched.rs`: the two paper
-//! machines plus deliberately awkward geometries (non-power-of-two set
-//! count, write-through L1, next-line prefetch, shuffled-index L2 with a
-//! tiny TLB).
+//! 3. **Trace files** — a stream serialised by [`TraceWriter`] and fed
+//!    back through [`replay`] must report identically to feeding the
+//!    parsed lines one at a time.
+//!
+//! The zoo holds the two paper machines plus deliberately awkward
+//! geometries (non-power-of-two set count, write-through L1, next-line
+//! prefetch, shuffled-index L2 with a tiny TLB).
 
 use mbb_ir::builder::{assign, c, ld, lit, ProgramBuilder, RefBuild, ScalarRef};
 use mbb_ir::expr::Affine;
@@ -34,6 +37,7 @@ use mbb_ir::trace::{Access, AccessKind, AccessSink, RunRef};
 use mbb_memsim::cache::{CacheConfig, WritePolicy};
 use mbb_memsim::hierarchy::Hierarchy;
 use mbb_memsim::machine::MachineModel;
+use mbb_memsim::tracefile::{parse_line, replay, TraceWriter};
 use proptest::prelude::*;
 
 /// The hierarchy zoo: paper machines plus deliberately awkward geometries.
@@ -125,6 +129,19 @@ fn arb_run() -> impl Strategy<Value = RunRecipe> {
         any::<bool>(),
     )
         .prop_map(|(base, stride, size, write)| RunRecipe { base, stride, size, write })
+}
+
+/// One access for the trace-file round trip.  Addresses cover a few
+/// pages' worth of lines with unaligned offsets; sizes include sub-line,
+/// exactly-one-line and straddling multi-line accesses.  The text format
+/// has no zero-size events (a missing size reads back as 8).
+fn arb_access() -> impl Strategy<Value = Access> {
+    (0u64..16384, prop_oneof![Just(1u32), Just(8u32), Just(32u32), Just(100u32)], any::<bool>())
+        .prop_map(|(addr, size, write)| Access {
+            addr,
+            size,
+            kind: if write { AccessKind::Write } else { AccessKind::Read },
+        })
 }
 
 fn to_run_ref(r: &RunRecipe) -> RunRef {
@@ -224,8 +241,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The symbolic group walk reports identically to the element-wise
-    /// interleaved expansion it is defined by, and to the same expansion
-    /// batched through `access_block` — with and without a final flush.
+    /// interleaved expansion it is defined by, with and without a final
+    /// flush.
     #[test]
     fn run_group_matches_elementwise_expansion(
         group in proptest::collection::vec(arb_run(), 1..5),
@@ -245,19 +262,12 @@ proptest! {
             }
         }
 
-        let expanded: Vec<Access> =
-            (0..count).flat_map(|k| refs.iter().map(move |r| r.at(k))).collect();
-        let mut block = machine.build();
-        block.access_block(&expanded);
-
         if flush {
             fast.flush();
             scalar.flush();
-            block.flush();
         }
 
         prop_assert_eq!(fast.report(), scalar.report());
-        prop_assert_eq!(fast.report(), block.report());
     }
 
     /// Splitting one logical stream across consecutive `access_runs` calls
@@ -327,5 +337,35 @@ proptest! {
             prop_assert_eq!(stats_t, stats_s, "trace-only stats under {}", engine);
             prop_assert!(obs_t.scalars.is_empty() && obs_t.arrays.is_empty());
         }
+    }
+
+    /// Trace-file round trip: the parsed lines are the trace, and a replay
+    /// reports identically to feeding the trace directly.
+    #[test]
+    fn tracefile_roundtrip_through_replay(
+        trace in proptest::collection::vec(arb_access(), 1..120),
+        machine in arb_hierarchy(),
+    ) {
+        let mut text = Vec::new();
+        {
+            let mut w = TraceWriter::new(&mut text);
+            for &a in &trace {
+                w.access(a);
+            }
+            prop_assert_eq!(w.finish().unwrap(), trace.len() as u64);
+        }
+        let parsed: Vec<Access> =
+            std::str::from_utf8(&text).unwrap().lines().map(|l| parse_line(l).unwrap()).collect();
+        prop_assert_eq!(&parsed, &trace);
+
+        let mut replayed = machine.build();
+        let n = replay(std::io::BufReader::new(&text[..]), &mut replayed).unwrap();
+        prop_assert_eq!(n, trace.len() as u64);
+
+        let mut direct = machine.build();
+        for &a in &trace {
+            direct.access(a);
+        }
+        prop_assert_eq!(replayed.report(), direct.report());
     }
 }
