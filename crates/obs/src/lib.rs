@@ -300,18 +300,40 @@ pub fn tick_tlb_miss() {
 // On-CPU time
 // ---------------------------------------------------------------------------
 
-/// Time this thread has spent on-CPU, from the scheduler's own accounting
-/// (`/proc/thread-self/schedstat`, nanosecond resolution).  Unlike
-/// wall-clock it does not count time stolen by other processes, which is
-/// what makes span CPU attribution (and the perf gate that reads it
-/// through [`Meter`]) usable on busy shared runners.
-/// `None` where the kernel or platform doesn't expose it.
+/// Time this thread has spent on-CPU, from the kernel's per-thread CPU
+/// clock (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`): one syscall, exact to
+/// the nanosecond for the running thread, including the slice it is in
+/// now.  Unlike wall-clock it does not count time stolen by other
+/// processes, which is what makes span CPU attribution (and the perf gate
+/// that reads it through [`Meter`]) usable on busy shared runners.
+/// `None` off Linux.
+#[cfg(target_os = "linux")]
 pub fn thread_on_cpu() -> Option<Duration> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat")
-        .or_else(|_| std::fs::read_to_string("/proc/self/schedstat"))
-        .ok()?;
-    let ns: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(Duration::from_nanos(ns))
+    use std::os::raw::{c_int, c_long};
+
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable timespec, the only memory the call
+    // writes; std already links the C library that defines it.
+    if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+        return None;
+    }
+    Some(Duration::new(u64::try_from(ts.tv_sec).ok()?, u32::try_from(ts.tv_nsec).ok()?))
+}
+
+/// Time this thread has spent on-CPU: `None` off Linux.
+#[cfg(not(target_os = "linux"))]
+pub fn thread_on_cpu() -> Option<Duration> {
+    None
 }
 
 // ---------------------------------------------------------------------------

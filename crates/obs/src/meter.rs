@@ -30,7 +30,8 @@ pub struct Measure {
     /// Elapsed wall-clock.
     pub wall: Duration,
     /// Time the thread was actually on-CPU during the region, when the OS
-    /// exposes it (Linux schedstat); background load does not inflate it.
+    /// exposes it (Linux's thread CPU clock); background load does not
+    /// inflate it.
     pub on_cpu: Option<Duration>,
     /// Simulated access events during the region (this thread only).
     pub events: u64,
@@ -43,13 +44,14 @@ impl Meter {
         Meter { start: Instant::now(), on_cpu_before: thread_on_cpu(), events_before: accesses() }
     }
 
-    /// Stops and reads the meter.
+    /// Stops and reads the meter.  The CPU clock is read inside the wall
+    /// interval at both ends, so `on_cpu` never covers more than `wall`.
     pub fn finish(self) -> Measure {
+        let on_cpu =
+            self.on_cpu_before.and_then(|before| Some(thread_on_cpu()?.saturating_sub(before)));
         Measure {
             wall: self.start.elapsed(),
-            on_cpu: self
-                .on_cpu_before
-                .and_then(|before| Some(thread_on_cpu()?.saturating_sub(before))),
+            on_cpu,
             events: accesses().wrapping_sub(self.events_before),
         }
     }
@@ -89,5 +91,31 @@ mod tests {
         let m = meter.finish();
         assert_eq!(m.events, 50);
         assert!(m.summary().contains("50 accesses"), "{}", m.summary());
+    }
+
+    /// A region shorter than a scheduler tick, right after a sleep, must
+    /// still read its on-CPU time: a clock the kernel only brings up to
+    /// date at a tick or a switch reads ~0 here.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn on_cpu_time_is_exact_below_a_scheduler_tick() {
+        let slack = Duration::from_micros(5);
+        let mut ratios: Vec<f64> = (0..20)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(1));
+                let meter = Meter::start();
+                let spin = Instant::now();
+                while spin.elapsed() < Duration::from_micros(200) {
+                    std::hint::spin_loop();
+                }
+                let m = meter.finish();
+                let cpu = m.on_cpu.expect("Linux exposes the thread CPU clock");
+                assert!(cpu <= m.wall + slack, "on-CPU {cpu:?} exceeds wall {:?}", m.wall);
+                cpu.as_secs_f64() / m.wall.as_secs_f64()
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios[ratios.len() / 2];
+        assert!(median >= 0.5, "median on-CPU/wall {median:.2} over {ratios:?}");
     }
 }

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Drives one request of every kind through the blocking client, repeats
-//! one to assert a cache hit with bit-identical bytes, scrapes the
-//! metrics exposition, and shuts the server down via the admin request.
+//! one to assert a cache hit with bit-identical bytes (once byte for byte,
+//! once reformatted), scrapes the metrics exposition, and shuts the
+//! server down via the admin request.
 //! Exits nonzero (printing what failed) on any deviation, so the CI job
 //! is a single process invocation.
 
@@ -103,10 +104,22 @@ fn drive(addr: &str) -> Result<(), String> {
     expect_ok(&again).map_err(|e| format!("repeat: {e}"))?;
     check(again.get("cached") == Some(&Json::Bool(true)), "repeated request is a cache hit")?;
     check(
-        again.get("result").cloned() == first_report.flatten(),
+        again.get("result").cloned() == first_report.clone().flatten(),
         "cache hit is bit-identical to the original result",
     )?;
     println!("serve_smoke: repeat is a cache hit");
+
+    // The same program reformatted: new raw text, so the source memo
+    // misses, but the canonical key still hits the result cache.
+    let noisy = PROGRAM.replace("array data[4096]\n", "array   data[4096]   // input\n\n");
+    let again = c.analyze("report", &noisy, "origin").map_err(|e| format!("reformatted: {e}"))?;
+    expect_ok(&again).map_err(|e| format!("reformatted: {e}"))?;
+    check(again.get("cached") == Some(&Json::Bool(true)), "reformatted repeat is a cache hit")?;
+    check(
+        again.get("result").cloned() == first_report.flatten(),
+        "reformatted hit is bit-identical to the original result",
+    )?;
+    println!("serve_smoke: reformatted repeat is a cache hit");
 
     // A distinct-exit-code probe: a syntax error must come back as code
     // `parse` / exit_code 3 without closing the connection.
@@ -121,16 +134,22 @@ fn drive(addr: &str) -> Result<(), String> {
     // Scrape metrics and sanity-check the counters we just generated.
     let metrics = c.metrics_text().map_err(|e| format!("metrics: {e}"))?;
     for needle in [
-        "mbb_serve_requests_total{kind=\"report\"} 3",
+        "mbb_serve_requests_total{kind=\"report\"} 4",
         "mbb_serve_requests_total{kind=\"optimize\"} 1",
         "mbb_serve_errors_total{code=\"parse\"} 1",
-        "mbb_serve_cache_hits_total 1",
+        "mbb_serve_cache_hits_total 2",
+        // The byte-identical repeat is the one memo hit.  The 4 first
+        // passes, the reformatted repeat and the parse error each parsed,
+        // and the parse error stored nothing.
+        "mbb_serve_source_memo_hits_total 1\n",
+        "mbb_serve_source_memo_misses_total 6\n",
+        "mbb_serve_source_memo_entries 5\n",
         "mbb_serve_request_cpu_seconds_count",
         "mbb_serve_requests_total{kind=\"health\"} 1",
         "mbb_serve_requests_total{kind=\"cluster-stats\"} 1",
         "mbb_serve_requests_total{kind=\"machines\"} 3",
-        // 4 first-pass analyses + the repeat; admin kinds never route.
-        "mbb_serve_route_total{dest=\"local\"} 5",
+        // 4 first-pass analyses + the two repeats; admin kinds never route.
+        "mbb_serve_route_total{dest=\"local\"} 6",
         "mbb_serve_route_total{dest=\"forward\"} 0",
         "mbb_serve_forwarded_in_total 0",
         "mbb_serve_connections_open",

@@ -69,14 +69,7 @@ impl ResultCache {
         deadline: Option<Instant>,
         compute: impl FnOnce() -> Result<String, ServeError>,
     ) -> Result<(Arc<String>, bool), ServeError> {
-        let on_wait = || match deadline {
-            Some(d) if Instant::now() >= d => Err(ServeError::new(
-                ErrorKind::DeadlineExceeded,
-                "deadline expired while waiting for an identical in-flight request",
-            )),
-            _ => Ok(()),
-        };
-        self.0.get_or_compute(key, on_wait, || {
+        self.0.get_or_compute(key, wait_until(deadline), || {
             if faults::fire(Site::CacheCompute) {
                 return Err(ServeError::new(
                     ErrorKind::Internal,
@@ -90,5 +83,18 @@ impl ResultCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.0.stats()
+    }
+}
+
+/// The `on_wait` hook of a caller with a wall deadline, for any
+/// [`Cache`] the request path fills: once `deadline` passes, waiting for
+/// an identical in-flight compute ends with `deadline_exceeded`.
+pub(crate) fn wait_until(deadline: Option<Instant>) -> impl FnMut() -> Result<(), ServeError> {
+    move || match deadline {
+        Some(d) if Instant::now() >= d => Err(ServeError::new(
+            ErrorKind::DeadlineExceeded,
+            "deadline expired while waiting for an identical in-flight request",
+        )),
+        _ => Ok(()),
     }
 }

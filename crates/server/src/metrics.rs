@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cache::ResultCache;
+use crate::cache::CacheStats;
 use crate::error::ErrorKind;
 use crate::overload::{Class, DegradeAction, Reason};
 use crate::protocol::Kind;
@@ -172,15 +172,18 @@ impl Metrics {
     }
 
     /// Records the phase timings of one profiled request.  Per-nest spans
-    /// (`nest:<name>`) are skipped: nest names are client-controlled and
-    /// would make the label set unbounded.
+    /// (`nest:<name>`) are skipped and the search's per-candidate spans
+    /// (`score:<spec>`) fold into one `score` phase: nest names are
+    /// client-controlled and specs differ per program, so either would
+    /// make the label set unbounded.  The profile itself keeps both.
     pub fn record_phases(&self, profile: &mbb_obs::Profile) {
         let mut map = self.phase_seconds.lock().unwrap_or_else(|e| e.into_inner());
         for s in &profile.spans {
             if s.name.starts_with("nest:") {
                 continue;
             }
-            let entry = map.entry(s.name.clone()).or_insert((0.0, 0));
+            let phase = if s.name.starts_with("score:") { "score" } else { &s.name };
+            let entry = map.entry(phase.to_string()).or_insert((0.0, 0));
             entry.0 += s.wall_ns as f64 / 1e9;
             entry.1 += 1;
         }
@@ -192,9 +195,9 @@ impl Metrics {
     }
 
     /// Renders the Prometheus text exposition (metric names documented in
-    /// `EXPERIMENTS.md`).  Cache counters ride along from `cache` so one
-    /// scrape shows the whole service.
-    pub fn render(&self, cache: &ResultCache) -> String {
+    /// `EXPERIMENTS.md`).  The result cache's and the source memo's
+    /// counters ride along so one scrape shows the whole service.
+    pub fn render(&self, cache: CacheStats, memo: CacheStats) -> String {
         use std::fmt::Write as _;
         let mut o = String::with_capacity(2048);
 
@@ -232,19 +235,33 @@ impl Metrics {
             self.connections_total.load(Ordering::Relaxed)
         );
 
-        let cs = cache.stats();
         let _ = writeln!(o, "# HELP mbb_serve_cache_hits_total Result-cache hits.");
         let _ = writeln!(o, "# TYPE mbb_serve_cache_hits_total counter");
-        let _ = writeln!(o, "mbb_serve_cache_hits_total {}", cs.hits);
+        let _ = writeln!(o, "mbb_serve_cache_hits_total {}", cache.hits);
         let _ = writeln!(o, "# HELP mbb_serve_cache_misses_total Result-cache misses.");
         let _ = writeln!(o, "# TYPE mbb_serve_cache_misses_total counter");
-        let _ = writeln!(o, "mbb_serve_cache_misses_total {}", cs.misses);
+        let _ = writeln!(o, "mbb_serve_cache_misses_total {}", cache.misses);
         let _ = writeln!(o, "# HELP mbb_serve_cache_entries Live result-cache entries.");
         let _ = writeln!(o, "# TYPE mbb_serve_cache_entries gauge");
-        let _ = writeln!(o, "mbb_serve_cache_entries {}", cs.entries);
+        let _ = writeln!(o, "mbb_serve_cache_entries {}", cache.entries);
         let _ = writeln!(o, "# HELP mbb_serve_cache_bytes Result-cache bytes in use.");
         let _ = writeln!(o, "# TYPE mbb_serve_cache_bytes gauge");
-        let _ = writeln!(o, "mbb_serve_cache_bytes {}", cs.weight);
+        let _ = writeln!(o, "mbb_serve_cache_bytes {}", cache.weight);
+        let _ = writeln!(
+            o,
+            "# HELP mbb_serve_source_memo_hits_total Requests keyed from the source memo."
+        );
+        let _ = writeln!(o, "# TYPE mbb_serve_source_memo_hits_total counter");
+        let _ = writeln!(o, "mbb_serve_source_memo_hits_total {}", memo.hits);
+        let _ = writeln!(
+            o,
+            "# HELP mbb_serve_source_memo_misses_total Requests parsed to fill the source memo."
+        );
+        let _ = writeln!(o, "# TYPE mbb_serve_source_memo_misses_total counter");
+        let _ = writeln!(o, "mbb_serve_source_memo_misses_total {}", memo.misses);
+        let _ = writeln!(o, "# HELP mbb_serve_source_memo_entries Live source-memo entries.");
+        let _ = writeln!(o, "# TYPE mbb_serve_source_memo_entries gauge");
+        let _ = writeln!(o, "mbb_serve_source_memo_entries {}", memo.entries);
 
         let _ = writeln!(o, "# HELP mbb_serve_connections_open Connections currently open.");
         let _ = writeln!(o, "# TYPE mbb_serve_connections_open gauge");
@@ -422,7 +439,7 @@ mod tests {
     #[test]
     fn render_exposes_every_metric_family() {
         let m = Metrics::default();
-        let c = ResultCache::new(1024, 1);
+        let memo = CacheStats { hits: 3, misses: 2, entries: 1, ..CacheStats::default() };
         m.count_request(Kind::Report);
         m.count_error(ErrorKind::Parse);
         m.count_shed(Class::Search, Reason::Saturation);
@@ -455,7 +472,7 @@ mod tests {
             cpu_ns: None,
         };
         m.record_phases(&profile);
-        let text = m.render(&c);
+        let text = m.render(CacheStats::default(), memo);
         assert!(
             !text.contains("nest:evil"),
             "client-named nest spans must not become metric labels:\n{text}"
@@ -470,6 +487,9 @@ mod tests {
             "mbb_serve_cache_misses_total 0",
             "mbb_serve_cache_entries 0",
             "mbb_serve_cache_bytes 0",
+            "mbb_serve_source_memo_hits_total 3",
+            "mbb_serve_source_memo_misses_total 2",
+            "mbb_serve_source_memo_entries 1",
             "mbb_serve_queue_depth 0",
             "mbb_serve_workers_busy 0",
             "mbb_serve_connections_open 0",

@@ -27,7 +27,10 @@
 //!
 //! Analysis results flow through the sharded content-addressed
 //! [`ResultCache`], so identical requests — concurrent or repeated —
-//! simulate once and return bit-identical bytes.
+//! simulate once and return bit-identical bytes.  In front of it, a
+//! bounded *source memo* maps each raw request's content address to its
+//! result-cache key and admission estimate, so a byte-identical repeat
+//! skips parsing, validation and pretty-printing (see [`key_request`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
@@ -36,11 +39,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mbb_core::cache::Cache;
 use mbb_ir::budget::Budget;
+use mbb_ir::Program;
 use mbb_obs::json::Json;
 
 use crate::analysis;
-use crate::cache::ResultCache;
+use crate::cache::{self, ResultCache};
 use crate::cluster::{Cluster, Route};
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::{self, Site};
@@ -164,9 +169,20 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: ResultCache,
+    /// The source memo: raw request content address → (result-cache key,
+    /// admission estimate in ms), one entry of weight 1 per
+    /// [`MEMO_BYTES_PER_ENTRY`] of result budget.
+    memo: Cache<(u64, u64)>,
     overload: Mutex<Brownout>,
     cluster: Cluster,
 }
+
+/// Result-cache bytes per source-memo entry.  A memo entry only pays off
+/// while its result is cached, and cached results run ~1–2 KB, so one
+/// entry per KiB covers every result the cache can hold (32,768 entries,
+/// ~2 MB, at the default 32 MiB); with the result cache off, the memo
+/// holds nothing.
+const MEMO_BYTES_PER_ENTRY: u64 = 1024;
 
 impl Shared {
     fn new(cfg: Config) -> Shared {
@@ -185,6 +201,7 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             metrics: Metrics::default(),
             cache: ResultCache::new(cfg.cache_bytes, shards),
+            memo: Cache::new(cfg.cache_bytes / MEMO_BYTES_PER_ENTRY, shards, |_| 1),
             overload: Mutex::new(Brownout::new(BrownoutConfig::default())),
             cluster,
             cfg,
@@ -749,8 +766,8 @@ fn respond(
     let level = shared.metrics.brownout_level.load(Ordering::Relaxed);
     match req.kind {
         Kind::Metrics => {
-            let result = Json::obj([("text", Json::str(shared.metrics.render(&shared.cache)))])
-                .render_compact();
+            let text = shared.metrics.render(shared.cache.stats(), shared.memo.stats());
+            let result = Json::obj([("text", Json::str(text))]).render_compact();
             Ok((protocol::ok_response(Kind::Metrics, false, &result, id), false))
         }
         Kind::Shutdown => {
@@ -834,11 +851,12 @@ fn respond(
             let deadline = opts.budget.wall.map(|wall| Instant::now() + wall);
             opts.profile = req.profile;
             opts.engine = req.engine;
-            let prog = analysis::load(src)?;
+            let flags = req.flags.key();
+            let keyed = key_request(shared, kind, &opts.machine.name, &flags, src, deadline)?;
             // Cost-based admission: a request that cannot possibly finish
             // inside its remaining deadline is rejected up front.
             if let Some(remaining) = opts.budget.wall {
-                let est = overload::estimate_cost_ms(&prog, kind);
+                let est = keyed.est_ms;
                 if Duration::from_millis(est) > remaining {
                     shared.metrics.count_shed(class, Reason::Admission);
                     return Err(ServeError::new(
@@ -882,7 +900,13 @@ fn respond(
                 sp.steps = sp.steps.min(BROWNOUT_STEPS);
                 actions.push(DegradeAction::SearchClamp);
             }
-            let compute = || -> Result<analysis::Analysis, ServeError> {
+            // The program is parsed again only when this request runs the
+            // analysis and its key came from the memo.
+            let compute = |prog: Option<Program>| -> Result<analysis::Analysis, ServeError> {
+                let prog = match prog {
+                    Some(p) => p,
+                    None => analysis::load(src)?,
+                };
                 let a = match kind {
                     Kind::Report => analysis::report(&prog, &opts)?,
                     Kind::Advise => analysis::advise(&prog, &opts)?,
@@ -897,7 +921,7 @@ fn respond(
                 for &a in &actions {
                     shared.metrics.count_degraded(a);
                 }
-                let a = compute()?;
+                let a = compute(keyed.prog)?;
                 let val =
                     Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact();
                 let degraded = Json::obj([
@@ -911,7 +935,7 @@ fn respond(
                 // Profiles describe *this* execution (wall/CPU time), so a
                 // profiled request bypasses the cache in both directions:
                 // it neither reads a cached result nor stores one.
-                let a = compute()?;
+                let a = compute(keyed.prog)?;
                 let mut pairs = vec![("text", Json::str(a.text)), ("data", a.data)];
                 if let Some(p) = &a.profile {
                     shared.metrics.record_phases(p);
@@ -920,16 +944,7 @@ fn respond(
                 let val = Json::obj(pairs).render_compact();
                 return Ok((protocol::ok_response(kind, false, &val, id), false));
             }
-            // Key on the *resolved* machine name (aliases collapse, scaled
-            // variants stay distinct) and the canonical pretty-printed
-            // program (formatting collapses).
-            let canon = analysis::canonical_source(&prog);
-            let key = mbb_core::canon::cache_key(
-                kind.as_str(),
-                &opts.machine.name,
-                &req.flags.key(),
-                &canon,
-            );
+            let key = keyed.key;
             // Shard routing: if another node owns this content-address,
             // relay the request one hop (never re-forward a relay) so the
             // whole tier shares one cache fill per unique key.  A failed
@@ -952,12 +967,58 @@ fn respond(
                 }
             }
             let (val, hit) = shared.cache.get_or_compute_until(key, deadline, || {
-                let a = compute()?;
+                let a = compute(keyed.prog)?;
                 Ok(Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact())
             })?;
             Ok((protocol::ok_response(kind, hit, &val, id), false))
         }
     }
+}
+
+/// What the `key` stage hands on to the rest of a program request.
+struct Keyed {
+    /// The result-cache key.
+    key: u64,
+    /// [`overload::estimate_cost_ms`] of the program, for admission.
+    est_ms: u64,
+    /// The parsed program, when this request had to parse it.
+    prog: Option<Program>,
+}
+
+/// The `key` stage of a program request: its result-cache key and
+/// admission estimate.
+///
+/// The key addresses the *resolved* machine name (aliases collapse,
+/// scaled variants stay distinct), the flags and the canonical
+/// pretty-printed program (formatting collapses).  Parsing, validation
+/// and pretty-printing are pure functions of the request text, so the
+/// source memo maps the raw text's own content address — the same
+/// [`cache_key`](mbb_core::canon::cache_key) layout over the raw source
+/// instead of the canonical one — to the key and the estimate, and a
+/// byte-identical repeat costs one hash and one lookup.  On a memo miss
+/// the program is loaded here, in the same place an invalid program
+/// always fails, and handed on.  Errors are never memoised; a caller
+/// that joins an identical in-flight fill stops waiting at `deadline`.
+fn key_request(
+    shared: &Shared,
+    kind: Kind,
+    machine: &str,
+    flags: &str,
+    src: &str,
+    deadline: Option<Instant>,
+) -> Result<Keyed, ServeError> {
+    let source_key = mbb_core::canon::cache_key(kind.as_str(), machine, flags, src);
+    let mut prog = None;
+    let ((key, est_ms), _) =
+        shared.memo.get_or_compute(source_key, cache::wait_until(deadline), || {
+            let p = analysis::load(src)?;
+            let canon = analysis::canonical_source(&p);
+            let key = mbb_core::canon::cache_key(kind.as_str(), machine, flags, &canon);
+            let est = overload::estimate_cost_ms(&p, kind);
+            prog = Some(p);
+            Ok((key, est))
+        })?;
+    Ok(Keyed { key, est_ms, prog })
 }
 
 #[cfg(test)]
@@ -996,6 +1057,22 @@ mod tests {
         assert_eq!(first.get("result"), second.get("result"), "hit must equal miss");
         assert_eq!(shared.cache.stats().hits, 1);
         assert_eq!(shared.metrics.requests_of(Kind::Report), 2);
+        // The byte-identical repeat was keyed from the source memo.
+        let memo = shared.memo.stats();
+        assert_eq!((memo.hits, memo.misses, memo.entries), (1, 1, 1), "{memo:?}");
+    }
+
+    #[test]
+    fn a_repeat_without_a_result_cache_recomputes_the_same_bytes() {
+        let shared = Arc::new(Shared::new(Config { cache_bytes: 0, ..Config::default() }));
+        let (first, _) = run(&shared, REQ, Duration::ZERO);
+        let (second, _) = run(&shared, REQ, Duration::ZERO);
+        assert_eq!(first, second, "a recompute must reproduce the bytes");
+        assert!(first.contains("\"cached\":false"), "{first}");
+        // With no result budget the memo holds nothing either.
+        let memo = shared.memo.stats();
+        assert_eq!((memo.hits, memo.misses, memo.entries), (0, 2, 0), "{memo:?}");
+        assert_eq!(shared.cache.stats().misses, 2);
     }
 
     #[test]
@@ -1006,25 +1083,33 @@ mod tests {
         let noisy = REQ.replace("array a[64]\\n", "array   a[64]   // demand\\n\\n");
         let resp = process(&shared, &noisy);
         assert_eq!(resp.get("cached"), Some(&Json::Bool(true)), "{resp:?}");
+        // Different raw text: the memo misses, the canonical key hits.
+        let memo = shared.memo.stats();
+        assert_eq!((memo.hits, memo.misses, memo.entries), (0, 2, 2), "{memo:?}");
     }
 
     #[test]
     fn parse_and_validate_errors_carry_distinct_codes() {
         let shared = test_shared();
         let bad_syntax = "{\"schema\":\"mbb-serve/1\",\"kind\":\"report\",\"program\":\"for i = 0, 3\\n  bogus[i] = 1\\nend for\\n\"}";
-        let e = process(&shared, bad_syntax);
-        let code = e.get("error").and_then(|x| x.get("code")).and_then(|c| c.as_str());
-        assert_eq!(code, Some("parse"));
-
         let dup = "{\"schema\":\"mbb-serve/1\",\"kind\":\"report\",\"program\":\"array a[16]\\nfor i = 0, 3\\n  for i = 0, 3\\n    a[i] = 1\\n  end for\\nend for\\n\"}";
-        let e = process(&shared, dup);
-        let err = e.get("error").unwrap();
-        assert_eq!(err.get("code").and_then(|c| c.as_str()), Some("validate"));
-        assert_eq!(err.get("exit_code"), Some(&Json::UInt(4)));
-        assert_eq!(shared.metrics.errors_of(ErrorKind::Parse), 1);
-        assert_eq!(shared.metrics.errors_of(ErrorKind::Validate), 1);
-        // Failed analyses must not occupy cache entries.
+        // Each sent twice: an error is never memoised, so the repeat
+        // parses again and fails the same way.
+        for (line, code, exit) in [(bad_syntax, "parse", 3), (dup, "validate", 4)] {
+            let (first, _) = run(&shared, line, Duration::ZERO);
+            let (second, _) = run(&shared, line, Duration::ZERO);
+            assert_eq!(first, second);
+            let e = Json::parse(&first).unwrap();
+            let err = e.get("error").unwrap();
+            assert_eq!(err.get("code").and_then(|c| c.as_str()), Some(code));
+            assert_eq!(err.get("exit_code"), Some(&Json::UInt(exit)));
+        }
+        assert_eq!(shared.metrics.errors_of(ErrorKind::Parse), 2);
+        assert_eq!(shared.metrics.errors_of(ErrorKind::Validate), 2);
+        // Failed analyses must not occupy cache or memo entries.
         assert_eq!(shared.cache.stats().entries, 0);
+        let memo = shared.memo.stats();
+        assert_eq!((memo.hits, memo.misses, memo.entries), (0, 4, 0), "{memo:?}");
     }
 
     #[test]
@@ -1297,6 +1382,17 @@ mod tests {
         // A later plain request still hits the warm entry.
         let again = process(&shared, REQ);
         assert_eq!(again.get("cached"), Some(&Json::Bool(true)), "{again:?}");
+
+        // A profiled repeat is keyed from the memo but still parses, runs
+        // and carries its own profile.
+        let memo_hits = shared.memo.stats().hits;
+        let repeat = process(&shared, &profiled);
+        assert_eq!(shared.memo.stats().hits, memo_hits + 1);
+        assert_eq!(repeat.get("cached"), Some(&Json::Bool(false)), "{repeat:?}");
+        let result = repeat.get("result").expect("result object");
+        assert!(result.get("profile").and_then(|p| p.get("spans")).is_some(), "{result:?}");
+        assert_eq!(result.get("text"), plain.get("result").and_then(|r| r.get("text")));
+        assert_eq!(shared.metrics.phase_of("measure").map(|(_, n)| n), Some(2));
     }
 
     #[test]
@@ -1418,16 +1514,22 @@ mod tests {
     fn admission_rejects_oversized_programs() {
         let cfg = Config { request_deadline: Some(Duration::from_millis(1)), ..Config::default() };
         let shared = Arc::new(Shared::new(cfg));
-        let resp = process(&shared, BIG_REQ);
-        assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"), "{resp:?}");
-        assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), 1);
-        let msg = resp
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(|m| m.as_str())
-            .unwrap_or_default()
-            .to_string();
-        assert!(msg.starts_with("admission:"), "{msg}");
+        // The repeat is admitted or refused on the memoised estimate,
+        // exactly as the first request was on the parsed program.
+        for sent in 1..=2 {
+            let resp = process(&shared, BIG_REQ);
+            assert_eq!(error_code(&resp).as_deref(), Some("deadline_exceeded"), "{resp:?}");
+            assert_eq!(shared.metrics.shed_of(Class::Optimize, Reason::Admission), sent);
+            let msg = resp
+                .get("error")
+                .and_then(|e| e.get("message"))
+                .and_then(|m| m.as_str())
+                .unwrap_or_default()
+                .to_string();
+            assert!(msg.starts_with("admission:"), "{msg}");
+        }
+        let memo = shared.memo.stats();
+        assert_eq!((memo.hits, memo.misses), (1, 1), "{memo:?}");
     }
 
     #[test]
@@ -1551,6 +1653,30 @@ mod tests {
             hit_raw,
             "cache bytes must be untouched by intervening brown-out traffic"
         );
+    }
+
+    #[test]
+    fn profiled_searches_fold_their_candidate_spans_into_one_score_phase() {
+        let shared = test_shared();
+        let other = SEARCH_REQ.replace("array res[64]", "array res[80]");
+        for req in [SEARCH_REQ, other.as_str()] {
+            let profiled = req.replace("\"kind\"", "\"profile\":true,\"kind\"");
+            let resp = process(&shared, &profiled);
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
+            // The profile keeps each candidate's own span.
+            let profile = resp.get("result").and_then(|r| r.get("profile"));
+            let Some(Json::Arr(spans)) = profile.and_then(|p| p.get("spans")) else {
+                panic!("profile.spans array missing: {resp:?}");
+            };
+            let names: Vec<&str> =
+                spans.iter().filter_map(|s| s.get("name").and_then(Json::as_str)).collect();
+            assert!(names.iter().any(|n| n.starts_with("score:")), "{names:?}");
+        }
+        let text = shared.metrics.render(shared.cache.stats(), shared.memo.stats());
+        assert!(!text.contains("span=\"score:"), "per-candidate labels leaked:\n{text}");
+        let (_, scored) = shared.metrics.phase_of("score").expect("one score phase");
+        assert!(scored >= 2, "{scored}");
+        assert_eq!(text.matches("mbb_serve_phase_seconds_count{span=\"score\"}").count(), 1);
     }
 
     #[test]
