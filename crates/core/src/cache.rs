@@ -19,13 +19,19 @@
 //!   A leader that panics releases its key the same way while unwinding,
 //!   so one bad compute never wedges the key.
 //! * **Weighted LRU.**  Each shard holds at most `capacity / shards` of
-//!   weight.  Every hit stamps its entry from a per-shard logical clock;
-//!   storing past the budget evicts the oldest stamps.  A value heavier
-//!   than a whole shard is returned but never stored.
+//!   weight.  Every hit stamps its entry from a per-shard logical clock,
+//!   and a stamp-ordered index beside the entries keeps the oldest stamp
+//!   at its front, so storing past the budget evicts from the front in
+//!   O(log n) per victim.  A value heavier than a whole shard is
+//!   returned but never stored.
+//! * **Peek, then count.**  [`Cache::peek`] reads a stored value without
+//!   counting or stamping, for a caller that may still hand the lookup
+//!   to someone else; [`Cache::record_hit`] counts and stamps it once
+//!   the caller has used it.
 //! * **Poison-tolerant.**  Critical sections never panic, so a poisoned
 //!   lock carries no torn state and is recovered rather than propagated.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -65,18 +71,36 @@ struct Flight {
 
 struct Shard<V> {
     entries: HashMap<u64, Entry<V>>,
+    /// Every entry's key by its stamp: the front is the eviction victim.
+    order: BTreeMap<u64, u64>,
     inflight: HashMap<u64, Arc<Flight>>,
     weight: u64,
     clock: u64,
+    /// Eviction candidates examined, for the test that pins one per
+    /// eviction.
+    #[cfg(test)]
+    examined: u64,
 }
 
-impl<V: Clone> Shard<V> {
-    /// The stored value for `key`, stamped as most recently used.
-    fn touch(&mut self, key: u64) -> Option<V> {
+impl<V> Shard<V> {
+    /// Stamps `key`'s entry as most recently used and returns it.
+    fn stamp(&mut self, key: u64) -> Option<&Entry<V>> {
         let e = self.entries.get_mut(&key)?;
         self.clock += 1;
+        self.order.remove(&e.stamp);
         e.stamp = self.clock;
-        Some(e.val.clone())
+        self.order.insert(self.clock, key);
+        Some(e)
+    }
+
+    /// Removes the entry with the oldest stamp.
+    fn evict_oldest(&mut self) -> Option<Entry<V>> {
+        let (_, victim) = self.order.pop_first()?;
+        #[cfg(test)]
+        {
+            self.examined += 1;
+        }
+        self.entries.remove(&victim)
     }
 }
 
@@ -124,9 +148,12 @@ impl<V: Clone> Cache<V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         entries: HashMap::new(),
+                        order: BTreeMap::new(),
                         inflight: HashMap::new(),
                         weight: 0,
                         clock: 0,
+                        #[cfg(test)]
+                        examined: 0,
                     })
                 })
                 .collect(),
@@ -160,7 +187,7 @@ impl<V: Clone> Cache<V> {
         loop {
             let flight = {
                 let mut s = lock(shard);
-                if let Some(val) = s.touch(key) {
+                if let Some(val) = s.stamp(key).map(|e| e.val.clone()) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok((val, true));
                 }
@@ -205,14 +232,12 @@ impl<V: Clone> Cache<V> {
             s.clock += 1;
             let stamp = s.clock;
             s.entries.insert(landing.key, Entry { val: val.clone(), weight, stamp });
+            s.order.insert(stamp, landing.key);
             s.weight += weight;
             self.entries.fetch_add(1, Ordering::Relaxed);
             self.weight.fetch_add(weight, Ordering::Relaxed);
             while s.weight > self.shard_budget {
-                let Some((&victim, _)) = s.entries.iter().min_by_key(|(_, e)| e.stamp) else {
-                    break;
-                };
-                let e = s.entries.remove(&victim).expect("victim chosen from the map");
+                let Some(e) = s.evict_oldest() else { break };
                 s.weight -= e.weight;
                 self.entries.fetch_sub(1, Ordering::Relaxed);
                 self.weight.fetch_sub(e.weight, Ordering::Relaxed);
@@ -220,6 +245,21 @@ impl<V: Clone> Cache<V> {
             }
         }
         Ok((val, false))
+    }
+
+    /// The stored value for `key`, if any, without counting a hit or a
+    /// miss and without stamping the entry.
+    pub fn peek(&self, key: u64) -> Option<V> {
+        lock(self.shard(key)).entries.get(&key).map(|e| e.val.clone())
+    }
+
+    /// Counts one hit on `key` and stamps its entry as most recently
+    /// used, as a hit of [`get_or_compute`](Self::get_or_compute) does:
+    /// for a caller that read the value with [`peek`](Self::peek) and has
+    /// now used it.  A key evicted since the peek still counts.
+    pub fn record_hit(&self, key: u64) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        lock(self.shard(key)).stamp(key);
     }
 
     /// Counter snapshot.
@@ -403,5 +443,158 @@ mod tests {
         release.wait();
         assert_eq!(*leader.join().unwrap().unwrap().0, "late");
         assert_eq!(c.stats().hits, 0, "an abandoned wait is not a hit");
+    }
+}
+
+/// The cache against a reference model: today's policy written as the
+/// full-shard scan it once was, so the stamp-ordered index must pick the
+/// same victims.
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One shard of the scan cache: key → (value, weight, stamp).
+    #[derive(Default)]
+    struct ScanShard {
+        entries: HashMap<u64, (String, u64, u64)>,
+        weight: u64,
+        clock: u64,
+    }
+
+    /// The reference: per-shard weighted LRU that evicts by scanning
+    /// every entry for the oldest stamp.
+    struct ScanCache {
+        shards: Vec<ScanShard>,
+        budget: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanCache {
+        fn new(capacity: u64, shards: usize) -> ScanCache {
+            ScanCache {
+                shards: (0..shards).map(|_| ScanShard::default()).collect(),
+                budget: capacity / shards as u64,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn shard(&mut self, key: u64) -> &mut ScanShard {
+            let n = self.shards.len();
+            &mut self.shards[(key >> 32) as usize % n]
+        }
+
+        fn stamp(&mut self, key: u64) -> Option<String> {
+            let s = self.shard(key);
+            s.clock += 1;
+            let clock = s.clock;
+            let e = s.entries.get_mut(&key)?;
+            e.2 = clock;
+            Some(e.0.clone())
+        }
+
+        /// `get_or_compute` with a compute that yields `fill` (or fails).
+        fn lookup(&mut self, key: u64, fill: Option<String>) -> Result<(String, bool), ()> {
+            if self.shard(key).entries.contains_key(&key) {
+                self.stats.hits += 1;
+                return Ok((self.stamp(key).expect("present"), true));
+            }
+            self.stats.misses += 1;
+            let val = fill.ok_or(())?;
+            let weight = val.len() as u64;
+            let budget = self.budget;
+            if budget > 0 && weight <= budget {
+                let s = self.shard(key);
+                s.clock += 1;
+                let stamp = s.clock;
+                s.entries.insert(key, (val.clone(), weight, stamp));
+                s.weight += weight;
+                self.stats.entries += 1;
+                self.stats.weight += weight;
+                loop {
+                    let s = self.shard(key);
+                    if s.weight <= budget {
+                        break;
+                    }
+                    let victim = *s.entries.iter().min_by_key(|(_, e)| e.2).expect("over budget").0;
+                    let (_, w, _) = s.entries.remove(&victim).expect("chosen from the map");
+                    s.weight -= w;
+                    self.stats.entries -= 1;
+                    self.stats.weight -= w;
+                    self.stats.evictions += 1;
+                }
+            }
+            Ok((val, false))
+        }
+
+        fn peek(&mut self, key: u64) -> Option<String> {
+            self.shard(key).entries.get(&key).map(|e| e.0.clone())
+        }
+
+        fn record_hit(&mut self, key: u64) {
+            self.stats.hits += 1;
+            if self.shard(key).entries.contains_key(&key) {
+                self.stamp(key);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Fill, get, peek, record_hit and failed computes in any order,
+        /// with random weights: the same answers, the same counters and
+        /// the same surviving keys as the scan.
+        #[test]
+        fn the_indexed_cache_evicts_like_the_scan(
+            capacity in 0u64..600,
+            shards in 1usize..4,
+            ops in vec((0u8..4, 0u64..3, 0u64..12, 1usize..160), 1..300),
+        ) {
+            let cache: Cache<String> = Cache::new(capacity, shards, |s| s.len() as u64);
+            let mut model = ScanCache::new(capacity, shards);
+            for &(op, hi, lo, len) in &ops {
+                let key = (hi << 32) | lo;
+                let fill = "v".repeat(len);
+                match op {
+                    0 => {
+                        let got = cache.get_or_compute(key, || Ok::<(), ()>(()), || Ok(fill.clone()));
+                        prop_assert_eq!(got, model.lookup(key, Some(fill)));
+                    }
+                    1 => {
+                        let got = cache.get_or_compute(key, || Ok::<(), ()>(()), || Err(()));
+                        prop_assert_eq!(got, model.lookup(key, None));
+                    }
+                    2 => prop_assert_eq!(cache.peek(key), model.peek(key)),
+                    _ => {
+                        cache.record_hit(key);
+                        model.record_hit(key);
+                    }
+                }
+                prop_assert_eq!(cache.stats(), model.stats);
+            }
+            for hi in 0..3u64 {
+                for lo in 0..12u64 {
+                    let key = (hi << 32) | lo;
+                    prop_assert_eq!(cache.peek(key), model.peek(key), "key {:#x}", key);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_eviction_examines_one_candidate() {
+        // One shard of 1,000 unit-weight entries, filled, then 500 more.
+        let c: Cache<u64> = Cache::new(1_000, 1, |_| 1);
+        for k in 0..1_500u64 {
+            c.get_or_compute(k, || Ok::<(), ()>(()), || Ok(k)).unwrap();
+        }
+        let s = c.stats();
+        assert_eq!((s.entries, s.evictions), (1_000, 500), "{s:?}");
+        assert_eq!(lock(&c.shards[0]).examined, 500, "one candidate per eviction");
+        // The 500 oldest went, in stamp order.
+        assert_eq!(c.peek(499), None);
+        assert_eq!(c.peek(500), Some(500));
     }
 }

@@ -144,6 +144,10 @@ fn drive(addr: &str) -> Result<(), String> {
         "mbb_serve_source_memo_hits_total 1\n",
         "mbb_serve_source_memo_misses_total 6\n",
         "mbb_serve_source_memo_entries 5\n",
+        // The byte-identical repeat is also the one request answered on
+        // the event loop; the reformatted repeat misses the memo and goes
+        // to a worker.
+        "mbb_serve_loop_answers_total 1\n",
         "mbb_serve_request_cpu_seconds_count",
         "mbb_serve_requests_total{kind=\"health\"} 1",
         "mbb_serve_requests_total{kind=\"cluster-stats\"} 1",

@@ -80,6 +80,18 @@ impl ResultCache {
         })
     }
 
+    /// The cached value for `key`, counting nothing and stamping
+    /// nothing: the event loop's look before it decides to answer.
+    pub fn peek(&self, key: u64) -> Option<Arc<String>> {
+        self.0.peek(key)
+    }
+
+    /// Counts one hit on `key`, whose value was read with
+    /// [`peek`](Self::peek) and used.
+    pub fn record_hit(&self, key: u64) {
+        self.0.record_hit(key)
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         self.0.stats()

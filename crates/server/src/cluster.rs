@@ -131,15 +131,29 @@ impl Cluster {
     /// This is the only place `routed` is bumped, so per-peer `routed`
     /// totals reconcile exactly with `mbb_serve_route_total`.
     pub fn route(&self, key: u64) -> Route {
-        if !self.is_tier() {
-            return Route::Local;
+        let owner = self.owner(key);
+        if let Some(owner) = owner {
+            self.peers[owner].routed.fetch_add(1, Ordering::Relaxed);
         }
-        let owner = self.ring.owner(key).expect("non-empty ring");
-        self.peers[owner].routed.fetch_add(1, Ordering::Relaxed);
-        if Some(owner) == self.self_index {
-            Route::Local
-        } else {
-            Route::Peer(owner)
+        self.route_to(owner)
+    }
+
+    /// [`route`](Self::route) without counting the decision, for a
+    /// caller that may still hand the request on: the ring is fixed, so
+    /// a later `route` of the same key decides the same.
+    pub fn peek_route(&self, key: u64) -> Route {
+        self.route_to(self.owner(key))
+    }
+
+    /// The ring owner of `key`; `None` without a tier.
+    fn owner(&self, key: u64) -> Option<usize> {
+        self.is_tier().then(|| self.ring.owner(key).expect("non-empty ring"))
+    }
+
+    fn route_to(&self, owner: Option<usize>) -> Route {
+        match owner {
+            Some(owner) if Some(owner) != self.self_index => Route::Peer(owner),
+            _ => Route::Local,
         }
     }
 

@@ -34,10 +34,11 @@ pub enum Site {
     /// Fail a cache compute with an internal error (`cache::lead`).
     CacheCompute,
     /// Drop the connection instead of reading the next request
-    /// (`server::handle_conn`).
+    /// (`server::event_loop`).
     ConnRead,
     /// Write only a prefix of the response, then drop the connection
-    /// (`server::handle_conn`).
+    /// (`server::send`, the one write routine of workers and the event
+    /// loop alike).
     ConnWriteShort,
     /// Fail a client connection attempt with a transient I/O error
     /// (`client::RetryClient`).

@@ -80,6 +80,9 @@ pub struct Metrics {
     pub forwarded_in_total: AtomicU64,
     /// Workers currently handling a connection.
     pub workers_busy: AtomicU64,
+    /// Requests answered on the event-loop thread: plain cache hits that
+    /// never reached a worker.
+    pub loop_answers_total: AtomicU64,
     /// Handler panics caught and answered with a structured `internal`
     /// error.
     pub panics_total: AtomicU64,
@@ -278,6 +281,17 @@ impl Metrics {
         let _ = writeln!(o, "# HELP mbb_serve_workers_busy Workers handling a request.");
         let _ = writeln!(o, "# TYPE mbb_serve_workers_busy gauge");
         let _ = writeln!(o, "mbb_serve_workers_busy {}", self.workers_busy.load(Ordering::Relaxed));
+
+        let _ = writeln!(
+            o,
+            "# HELP mbb_serve_loop_answers_total Requests answered on the event-loop thread."
+        );
+        let _ = writeln!(o, "# TYPE mbb_serve_loop_answers_total counter");
+        let _ = writeln!(
+            o,
+            "mbb_serve_loop_answers_total {}",
+            self.loop_answers_total.load(Ordering::Relaxed)
+        );
 
         let _ = writeln!(o, "# HELP mbb_serve_route_total Requests routed, by destination.");
         let _ = writeln!(o, "# TYPE mbb_serve_route_total counter");
@@ -492,6 +506,7 @@ mod tests {
             "mbb_serve_source_memo_entries 1",
             "mbb_serve_queue_depth 0",
             "mbb_serve_workers_busy 0",
+            "mbb_serve_loop_answers_total 0",
             "mbb_serve_connections_open 0",
             "mbb_serve_route_total{dest=\"local\"} 0",
             "mbb_serve_route_total{dest=\"forward\"} 0",

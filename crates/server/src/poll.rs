@@ -3,10 +3,10 @@
 //! [`Poller`] answers one question — *which registered sockets are
 //! readable?* — behind two backends:
 //!
-//! * **Epoll** (Linux x86_64/aarch64): level-triggered `epoll` driven by
-//!   raw syscalls (`core::arch::asm!`), keeping the crate std-only with
-//!   no `libc` dependency.  Idle keep-alive connections cost one table
-//!   slot and zero threads.
+//! * **Epoll** (Linux): level-triggered `epoll`, declared `extern "C"`
+//!   against the C library std already links, keeping the crate
+//!   std-only with no `libc` dependency.  Idle keep-alive connections
+//!   cost one table slot and zero threads.
 //! * **Scan** (everywhere else, and the runtime fallback if
 //!   `epoll_create1` fails): sleep ~1 ms, then report *every* registered
 //!   token as ready.  That is a level-triggered superset — spurious
@@ -27,171 +27,85 @@ use std::os::fd::RawFd;
 pub type RawFd = i32;
 
 /// Compile-time availability of the epoll backend.
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub const EPOLL_AVAILABLE: bool = true;
-/// Compile-time availability of the epoll backend.
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub const EPOLL_AVAILABLE: bool = false;
+pub const EPOLL_AVAILABLE: bool = cfg!(target_os = "linux");
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(target_os = "linux")]
 mod sys {
-    //! Just enough of the Linux epoll ABI, via inline-asm syscalls.
+    //! Just enough of the Linux epoll ABI, from the C library.
 
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const CLOSE: usize = 3;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CREATE1: usize = 291;
-    }
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const CLOSE: usize = 57;
-    }
+    use std::os::raw::c_int;
 
-    pub const EPOLL_CTL_ADD: usize = 1;
-    pub const EPOLL_CTL_DEL: usize = 2;
+    pub const EPOLL_CTL_ADD: c_int = 1;
+    pub const EPOLL_CTL_DEL: c_int = 2;
     pub const EPOLLIN: u32 = 0x1;
     pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EPOLL_CLOEXEC: usize = 0o2000000;
+    const EPOLL_CLOEXEC: c_int = 0o2000000;
 
     /// `struct epoll_event`: packed on x86_64 (the kernel ABI), naturally
     /// aligned elsewhere.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
 
-    /// Raw 6-argument syscall; returns the kernel's `isize` (negative
-    /// errno on failure).
-    ///
-    /// # Safety
-    /// `nr` and the arguments must form a valid Linux syscall; pointer
-    /// arguments must point at memory valid for the call's duration.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") nr as isize => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        ret
+    extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
+        fn close(fd: c_int) -> c_int;
     }
 
-    /// See the x86_64 variant.
-    ///
-    /// # Safety
-    /// Same contract as the x86_64 variant.
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        nr: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        core::arch::asm!(
-            "svc #0",
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            in("x8") nr,
-            options(nostack),
-        );
-        ret
-    }
-
-    fn check(ret: isize) -> std::io::Result<usize> {
+    fn check(ret: c_int) -> std::io::Result<usize> {
         if ret < 0 {
-            Err(std::io::Error::from_raw_os_error(-ret as i32))
+            Err(std::io::Error::last_os_error())
         } else {
             Ok(ret as usize)
         }
     }
 
-    pub fn epoll_create1() -> std::io::Result<i32> {
+    pub fn create() -> std::io::Result<c_int> {
         // SAFETY: epoll_create1 takes one flag argument and no pointers.
-        let ret = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) };
-        check(ret).map(|fd| fd as i32)
+        check(unsafe { epoll_create1(EPOLL_CLOEXEC) }).map(|fd| fd as c_int)
     }
 
-    pub fn epoll_ctl(
-        epfd: i32,
-        op: usize,
-        fd: i32,
+    pub fn ctl(
+        epfd: c_int,
+        op: c_int,
+        fd: c_int,
         event: Option<&mut EpollEvent>,
     ) -> std::io::Result<()> {
-        let ptr = event.map(|e| e as *mut EpollEvent as usize).unwrap_or(0);
+        let ptr = event.map_or(std::ptr::null_mut(), |e| e as *mut EpollEvent);
         // SAFETY: `ptr` is either null (DEL) or a live &mut EpollEvent.
-        let ret = unsafe { syscall6(nr::EPOLL_CTL, epfd as usize, op, fd as usize, ptr, 0, 0) };
-        check(ret).map(|_| ())
+        check(unsafe { epoll_ctl(epfd, op, fd, ptr) }).map(|_| ())
     }
 
-    pub fn epoll_pwait(
-        epfd: i32,
+    pub fn wait(
+        epfd: c_int,
         events: &mut [EpollEvent],
-        timeout_ms: i32,
+        timeout_ms: c_int,
     ) -> std::io::Result<usize> {
-        // SAFETY: `events` is a live mutable slice; sigmask is null so
-        // sigsetsize is ignored (8 = sizeof(kernel sigset_t) regardless).
-        let ret = unsafe {
-            syscall6(
-                nr::EPOLL_PWAIT,
-                epfd as usize,
-                events.as_mut_ptr() as usize,
-                events.len(),
-                timeout_ms as usize,
-                0,
-                8,
-            )
-        };
-        check(ret)
+        let max = events.len().min(c_int::MAX as usize) as c_int;
+        // SAFETY: the kernel writes at most `max` events into the live
+        // mutable slice.
+        check(unsafe { epoll_wait(epfd, events.as_mut_ptr(), max, timeout_ms) })
     }
 
-    pub fn close(fd: i32) {
+    pub fn close_fd(fd: c_int) {
         // SAFETY: closing an fd we own; errors are ignorable on this path.
-        let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
+        let _ = unsafe { close(fd) };
     }
 }
 
 enum Backend {
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(target_os = "linux")]
     Epoll {
         epfd: i32,
         buf: Vec<sys::EpollEvent>,
@@ -210,8 +124,8 @@ impl Poller {
     /// Opens the best backend available: epoll where compiled in and the
     /// kernel cooperates, the scan fallback otherwise.
     pub fn new() -> Poller {
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        if let Ok(epfd) = sys::epoll_create1() {
+        #[cfg(target_os = "linux")]
+        if let Ok(epfd) = sys::create() {
             let buf = vec![sys::EpollEvent { events: 0, data: 0 }; 64];
             return Poller { backend: Backend::Epoll { epfd, buf } };
         }
@@ -221,7 +135,7 @@ impl Poller {
     /// True when this poller is backed by epoll (testing/diagnostics).
     pub fn is_epoll(&self) -> bool {
         match &self.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            #[cfg(target_os = "linux")]
             Backend::Epoll { .. } => true,
             Backend::Scan { .. } => false,
         }
@@ -230,11 +144,11 @@ impl Poller {
     /// Watches `fd` for readability under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64) -> std::io::Result<()> {
         match &mut self.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, .. } => {
                 let mut ev =
                     sys::EpollEvent { events: sys::EPOLLIN | sys::EPOLLRDHUP, data: token };
-                sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, Some(&mut ev))
+                sys::ctl(*epfd, sys::EPOLL_CTL_ADD, fd, Some(&mut ev))
             }
             Backend::Scan { tokens } => {
                 let _ = fd;
@@ -247,9 +161,9 @@ impl Poller {
     /// Stops watching `fd`/`token`.  Call *before* closing the fd.
     pub fn deregister(&mut self, fd: RawFd, token: u64) {
         match &mut self.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, .. } => {
-                let _ = sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, None);
+                let _ = sys::ctl(*epfd, sys::EPOLL_CTL_DEL, fd, None);
             }
             Backend::Scan { tokens } => {
                 let _ = fd;
@@ -267,10 +181,10 @@ impl Poller {
     /// the caller already has.
     pub fn wait(&mut self, out: &mut Vec<u64>, timeout: Duration) {
         match &mut self.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+            #[cfg(target_os = "linux")]
             Backend::Epoll { epfd, buf } => {
                 let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-                match sys::epoll_pwait(*epfd, buf, ms) {
+                match sys::wait(*epfd, buf, ms) {
                     Ok(n) => {
                         for ev in &buf[..n] {
                             out.push(ev.data);
@@ -293,8 +207,8 @@ impl Poller {
 impl Drop for Poller {
     fn drop(&mut self) {
         match &self.backend {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Backend::Epoll { epfd, .. } => sys::close(*epfd),
+            #[cfg(target_os = "linux")]
+            Backend::Epoll { epfd, .. } => sys::close_fd(*epfd),
             Backend::Scan { .. } => {}
         }
     }

@@ -4,18 +4,30 @@
 //!
 //! * one event-loop thread owns the nonblocking listener and every open
 //!   connection, multiplexed through a readiness [`Poller`] (epoll on
-//!   Linux via raw syscalls, a scan fallback elsewhere): an idle
-//!   keep-alive connection costs one table entry, not a thread;
-//! * connections are *pipelined*: each complete request line becomes a
-//!   job in a bounded queue, up to `pipeline_depth` may be in flight per
-//!   connection (past that the connection is suspended from the poller —
-//!   backpressure — until responses drain), and responses may complete
-//!   out of order, paired by the envelope's optional `"id"`;
-//! * a fixed pool of worker threads pops jobs, runs the CPU-bound
-//!   analysis, and writes each response straight to the owning
-//!   connection; when the job queue is full the request is *shed*
-//!   immediately with a structured busy response (the 429 of this
-//!   protocol) rather than left to time out;
+//!   Linux, a scan fallback elsewhere): an idle keep-alive connection
+//!   costs one table entry, not a thread;
+//! * connections are *pipelined*: the loop frames each complete request
+//!   line, up to `pipeline_depth` may be in flight per connection (past
+//!   that the connection is suspended from the poller — backpressure —
+//!   until responses drain), and responses may complete out of order,
+//!   paired by the envelope's optional `"id"`;
+//! * the loop answers a *plain cache hit* itself: a program request whose
+//!   source-memo and result entries are both present, that no shed,
+//!   expiry, admission or degrade rule touches, that is not profiled and
+//!   whose key this node owns.  It runs the same stage functions as a
+//!   worker in lookup-only form ([`plain_hit`]), counts nothing until it
+//!   answers, and writes without blocking; a hit costs no queue hand-off
+//!   and no thread switch;
+//! * every other line becomes a job in a bounded queue, carrying the
+//!   loop's decode of it, and a fixed pool of worker threads runs the
+//!   rest: errors, admin kinds, misses and CPU-bound analysis, relays to
+//!   peers, degraded and shed answers.  When the job queue is full the
+//!   request is *shed* immediately with a structured busy response (the
+//!   429 of this protocol) rather than left to time out;
+//! * responses go out through each connection's writer, whose lock is
+//!   held only across nonblocking writes: bytes the socket does not take
+//!   stay as the writer's tail, sent ahead of the next response, and a
+//!   tail the loop leaves is sent by a flush job, which is never shed;
 //! * with `peers` configured, the node joins a shard tier: each
 //!   content-address is looked up on the consistent-hash
 //!   [`ring`](crate::ring) and requests owned by another node are
@@ -31,12 +43,20 @@
 //! bounded *source memo* maps each raw request's content address to its
 //! result-cache key and admission estimate, so a byte-identical repeat
 //! skips parsing, validation and pretty-printing (see [`key_request`]).
+//!
+//! A request passes through named stages, each with one home that both
+//! the worker path ([`respond`]) and the loop's attempt ([`plain_hit`])
+//! call: decode, admin, shed, expire, key, admit, degrade, route,
+//! lookup/compute and encode.  The stages count nothing themselves; the
+//! worker path counts what it answers, and the loop defers anything it
+//! would have to refuse.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use mbb_core::cache::Cache;
@@ -55,7 +75,7 @@ use crate::overload::{
     BROWNOUT_TARGET, CLASS_WEIGHTS,
 };
 use crate::poll::Poller;
-use crate::protocol::{self, Kind, RequestBudget};
+use crate::protocol::{self, Kind, Request, RequestBudget};
 use crate::sync::{lock, wait_timeout};
 
 /// Server configuration (see `mbbc serve` for the CLI spelling).
@@ -92,7 +112,8 @@ pub struct Config {
     /// class (see `overload::Brownout`).
     pub brownout: bool,
     /// In-flight requests allowed per connection before the event loop
-    /// stops reading it (pipelining backpressure).
+    /// stops reading it (pipelining backpressure), and the most of one
+    /// connection's lines the loop frames per readiness round.
     pub pipeline_depth: usize,
     /// The shard tier's full membership (`host:port` per node, identical
     /// on every node); empty = no tier, serve standalone.
@@ -139,22 +160,59 @@ fn effective_budget(cfg: &Config, req: RequestBudget) -> Budget {
     Budget { max_steps, wall }
 }
 
-/// The per-connection state shared between the event loop (which reads
-/// and frames) and the workers (which write responses).
+/// The per-connection state shared between the event loop (which reads,
+/// frames and answers plain hits) and the workers (which answer the
+/// rest).
 struct ConnShared {
-    /// Response writer — a clone of the connection's stream.  Held across
-    /// a whole response write so pipelined responses never interleave.
-    writer: Mutex<TcpStream>,
-    /// Requests queued or executing for this connection.
+    /// The write side.  Its lock is held only across nonblocking writes,
+    /// never across a wait, so the event loop never blocks on it.
+    writer: Mutex<Writer>,
+    /// Requests queued or executing for this connection, flush jobs
+    /// included.
     inflight: AtomicUsize,
+    /// A flush job for the writer's tail is queued or running.  Changed
+    /// only under the writer lock, so no tail is left without a job;
+    /// while set, the event loop frames no more of this connection's
+    /// lines.  The loop reads it without the lock: it publishes nothing
+    /// else, and a stale value only moves the next framing by a round.
+    backlogged: AtomicBool,
     /// Set when either side severs the connection; writers bail early.
     closed: AtomicBool,
 }
 
-/// One parsed-off request line awaiting a worker.
+/// A connection's response stream.
+struct Writer {
+    /// A clone of the connection's (nonblocking) stream.
+    stream: TcpStream,
+    /// Response bytes accepted but not yet taken by the socket.  Every
+    /// write sends them first, so responses go out whole and in the order
+    /// they were written.
+    tail: Vec<u8>,
+    /// Bytes the socket has taken over the connection's life.
+    sent: u64,
+}
+
+/// One unit of worker work.
 struct Job {
-    line: Vec<u8>,
     conn: Arc<ConnShared>,
+    work: Work,
+}
+
+enum Work {
+    /// A request line the event loop did not answer.
+    Line(Line),
+    /// Send the connection's tail.  Never shed.
+    Flush,
+}
+
+/// A request line on its way to a worker.
+struct Line {
+    bytes: Vec<u8>,
+    /// The event loop's decode of `bytes`, so no line is decoded twice:
+    /// `None` when that decode panicked.
+    decoded: Option<Result<Request, ServeError>>,
+    /// On-CPU time the event loop already spent on the line.
+    spent: Duration,
     /// Queue-entry instant: the wall deadline keeps running while the job
     /// waits, so queue time is charged against the request's budget.
     enqueued_at: Instant,
@@ -162,8 +220,8 @@ struct Job {
 
 struct Shared {
     cfg: Config,
-    /// Parsed-off request lines waiting for a worker — request-granular,
-    /// so one slow connection cannot convoy every other connection.
+    /// Jobs waiting for a worker — request-granular, so one slow
+    /// connection cannot convoy every other connection.
     queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -312,12 +370,16 @@ struct Conn {
     /// pipeline cap (backpressure) or after EOF.
     registered: bool,
     eof: bool,
+    /// Complete lines were left in `buf` when this round's share ran out.
+    more: bool,
     last_activity: Instant,
 }
 
-/// The readiness loop: accepts, reads, frames requests into the job
-/// queue, and closes quiescent connections.  Never blocks on a socket
-/// and never runs analysis.
+/// The readiness loop: accepts, reads, frames requests, answers plain
+/// cache hits, queues the rest, and closes quiescent connections.  It
+/// never blocks on a socket — every write it makes is nonblocking, and
+/// what a socket does not take is left to a flush job — and never runs
+/// analysis.
 fn event_loop(listener: &TcpListener, shared: &Shared) {
     let mut poller = Poller::new();
     let _ = poller.register(raw_fd(listener), LISTENER_TOKEN);
@@ -328,30 +390,30 @@ fn event_loop(listener: &TcpListener, shared: &Shared) {
     let mut last_tick = Instant::now();
 
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // Resume connections suspended on the pipeline cap: responses may
-        // have drained, making their buffered lines processable again.
+        // Resume connections suspended on the pipeline cap (responses may
+        // have drained, making their buffered lines processable again)
+        // and those with lines left over from the last round.
         let mut doomed: Vec<u64> = Vec::new();
+        let mut behind = false;
         for (&tok, conn) in conns.iter_mut() {
-            if conn.registered {
+            if conn.registered && !conn.more {
                 continue;
             }
             if !drain_buf(conn, shared) {
                 doomed.push(tok);
                 continue;
             }
-            if !conn.eof
-                && !at_cap(conn, shared)
-                && poller.register(raw_fd(&conn.stream), tok).is_ok()
-            {
-                conn.registered = true;
-            }
+            behind |= conn.more;
+            watch(&mut poller, tok, conn, shared);
         }
         for tok in doomed {
             close_conn(&mut conns, &mut poller, tok, shared);
         }
 
         ready.clear();
-        poller.wait(&mut ready, Duration::from_millis(20));
+        // Lines left over: look for readiness, but come straight back.
+        let wait = if behind { Duration::ZERO } else { Duration::from_millis(20) };
+        poller.wait(&mut ready, wait);
 
         for &tok in &ready {
             if tok == LISTENER_TOKEN {
@@ -373,12 +435,7 @@ fn event_loop(listener: &TcpListener, shared: &Shared) {
             }
             conn.last_activity = Instant::now();
             last_activity = conn.last_activity;
-            if conn.registered && (conn.eof || at_cap(conn, shared)) {
-                // EOF: nothing further to read, ever.  At cap:
-                // backpressure — stop reading until responses drain.
-                poller.deregister(raw_fd(&conn.stream), tok);
-                conn.registered = false;
-            }
+            watch(&mut poller, tok, conn, shared);
             if conn_done(conn) {
                 close_conn(&mut conns, &mut poller, tok, shared);
             }
@@ -421,6 +478,20 @@ fn event_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
+/// Keeps a connection registered with the poller exactly while it may be
+/// read.  At EOF there is nothing further to read, ever; at the pipeline
+/// cap the loop stops reading until responses drain (backpressure), and
+/// the resume pass revisits the connection every round until then.
+fn watch(poller: &mut Poller, tok: u64, conn: &mut Conn, shared: &Shared) {
+    let want = !conn.eof && !at_cap(conn, shared);
+    if want && !conn.registered {
+        conn.registered = poller.register(raw_fd(&conn.stream), tok).is_ok();
+    } else if !want && conn.registered {
+        poller.deregister(raw_fd(&conn.stream), tok);
+        conn.registered = false;
+    }
+}
+
 /// True when a connection has nothing left to do: the client half-closed
 /// and every pipelined response has been written.
 fn conn_done(conn: &Conn) -> bool {
@@ -450,14 +521,16 @@ fn accept_burst(
                 *next_token += 1;
                 let mut conn = Conn {
                     shared: Arc::new(ConnShared {
-                        writer: Mutex::new(writer),
+                        writer: Mutex::new(Writer { stream: writer, tail: Vec::new(), sent: 0 }),
                         inflight: AtomicUsize::new(0),
+                        backlogged: AtomicBool::new(false),
                         closed: AtomicBool::new(false),
                     }),
                     stream,
                     buf: Vec::new(),
                     registered: false,
                     eof: false,
+                    more: false,
                     last_activity: Instant::now(),
                 };
                 shared.metrics.connections_open.fetch_add(1, Ordering::Relaxed);
@@ -492,20 +565,19 @@ fn close_conn(conns: &mut HashMap<u64, Conn>, poller: &mut Poller, tok: u64, sha
 fn read_into_buf(conn: &mut Conn, max: usize) -> bool {
     let mut tmp = [0u8; 8192];
     loop {
+        if conn.buf.len() > max.saturating_add(1) {
+            // Enough buffered to either frame requests or answer
+            // too-large; stop pulling (level-triggered readiness
+            // re-reports the remainder), also while earlier rounds'
+            // lines still wait for their share.
+            return true;
+        }
         match conn.stream.read(&mut tmp) {
             Ok(0) => {
                 conn.eof = true;
                 return true;
             }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&tmp[..n]);
-                if conn.buf.len() > max.saturating_add(1) {
-                    // Enough buffered to either frame requests or answer
-                    // too-large; stop pulling (level-triggered readiness
-                    // re-reports the remainder).
-                    return true;
-                }
-            }
+            Ok(n) => conn.buf.extend_from_slice(&tmp[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return false,
@@ -513,16 +585,27 @@ fn read_into_buf(conn: &mut Conn, max: usize) -> bool {
     }
 }
 
-/// The pipeline cap: past this many in-flight requests the event loop
-/// stops reading the connection until responses drain.
+/// The pipeline cap: past this many in-flight requests, or while a tail
+/// waits for its flush job, the event loop stops reading the connection
+/// until responses drain.
 fn at_cap(conn: &Conn, shared: &Shared) -> bool {
     conn.shared.inflight.load(Ordering::Relaxed) >= shared.cfg.pipeline_depth.max(1)
+        || conn.shared.backlogged.load(Ordering::Relaxed)
 }
 
-/// Frames complete lines out of the read buffer and queues each as a
-/// job, stopping at the pipeline cap (the line stays buffered).  Returns
-/// `false` when the connection must close (framing is unrecoverable).
+/// Frames complete lines out of the read buffer, answering plain hits on
+/// the spot and queueing the rest, and stops at the pipeline cap (the
+/// line stays buffered).  Returns `false` when the connection must close
+/// (framing is unrecoverable).
+///
+/// Fairness without a knob: one call takes at most `pipeline_depth`
+/// lines — answered, queued or shed — and flags `more` when complete
+/// lines remain, so a client that floods the loop waits its turn behind
+/// every other connection instead of holding the loop for its whole
+/// buffer.
 fn drain_buf(conn: &mut Conn, shared: &Shared) -> bool {
+    let mut share = shared.cfg.pipeline_depth.max(1);
+    conn.more = false;
     loop {
         if conn.shared.closed.load(Ordering::Relaxed) {
             return false;
@@ -541,17 +624,25 @@ fn drain_buf(conn: &mut Conn, shared: &Shared) -> bool {
         if at_cap(conn, shared) {
             return true; // backpressure: leave the line buffered
         }
+        if share == 0 {
+            conn.more = true;
+            return true;
+        }
+        share -= 1;
         let mut line: Vec<u8> = conn.buf.drain(..=nl).collect();
         line.pop(); // the newline
         if line.is_empty() {
             continue; // tolerate keep-alive blank lines
         }
-        enqueue(line, conn, shared);
+        if let Attempt::Deferred(decoded, spent) = attempt(&line, &conn.shared, shared) {
+            enqueue(line, decoded, spent, conn, shared);
+        }
     }
 }
 
 /// Answers an over-long line with a structured error.  The caller closes
-/// the connection: the line framing cannot be resynchronised.
+/// the connection: the line framing cannot be resynchronised, and what
+/// the socket does not take at once goes down with it.
 fn answer_too_large(conn: &Conn, shared: &Shared) {
     let e = ServeError::new(
         ErrorKind::TooLarge,
@@ -560,13 +651,19 @@ fn answer_too_large(conn: &Conn, shared: &Shared) {
     shared.metrics.count_error(e.kind);
     let mut resp = protocol::error_response(&e);
     resp.push('\n');
-    write_line(&conn.shared, resp.as_bytes(), Duration::from_secs(1));
+    send(&mut lock(&conn.shared.writer), &conn.shared, resp.as_bytes());
 }
 
 /// Queues one framed request, or sheds it with a busy response when the
 /// queue is full.  The shed is request-level: the connection stays open
 /// and later requests may be admitted.
-fn enqueue(line: Vec<u8>, conn: &Conn, shared: &Shared) {
+fn enqueue(
+    bytes: Vec<u8>,
+    decoded: Option<Result<Request, ServeError>>,
+    spent: Duration,
+    conn: &Conn,
+    shared: &Shared,
+) {
     let mut q = lock(&shared.queue);
     if q.len() >= shared.cfg.queue_depth {
         drop(q);
@@ -575,56 +672,143 @@ fn enqueue(line: Vec<u8>, conn: &Conn, shared: &Shared) {
         shared.metrics.count_error(ErrorKind::Busy);
         let mut resp = protocol::error_response(&ServeError::busy());
         resp.push('\n');
-        write_line(&conn.shared, resp.as_bytes(), Duration::from_secs(1));
+        let mut w = lock(&conn.shared.writer);
+        send(&mut w, &conn.shared, resp.as_bytes());
+        flush_later(&w, &conn.shared, shared);
         return;
     }
     conn.shared.inflight.fetch_add(1, Ordering::Relaxed);
-    q.push_back(Job { line, conn: Arc::clone(&conn.shared), enqueued_at: Instant::now() });
+    let line = Line { bytes, decoded, spent, enqueued_at: Instant::now() };
+    q.push_back(Job { conn: Arc::clone(&conn.shared), work: Work::Line(line) });
     shared.metrics.queue_depth.store(q.len() as u64, Ordering::Relaxed);
     drop(q);
     shared.cv.notify_one();
 }
 
-/// Writes one response line, retrying `WouldBlock` (the stream shares the
-/// connection's nonblocking flag) until `timeout`.  Holding the writer
-/// lock across the whole line keeps pipelined responses uninterleaved.
-fn write_line(conn: &ConnShared, line: &[u8], timeout: Duration) {
+/// Queues a flush job for a tail the event loop left, unless one is
+/// already queued or running.  Called under the writer lock `w`, the
+/// lock the flush job clears `backlogged` under, so no tail is left
+/// without a job to send it.
+fn flush_later(w: &Writer, conn: &Arc<ConnShared>, shared: &Shared) {
+    if w.tail.is_empty()
+        || conn.closed.load(Ordering::Relaxed)
+        || conn.backlogged.swap(true, Ordering::Relaxed)
+    {
+        return;
+    }
+    conn.inflight.fetch_add(1, Ordering::Relaxed);
+    let mut q = lock(&shared.queue);
+    q.push_back(Job { conn: Arc::clone(conn), work: Work::Flush });
+    shared.metrics.queue_depth.store(q.len() as u64, Ordering::Relaxed);
+    drop(q);
+    shared.cv.notify_one();
+}
+
+/// The one write routine: appends one response line to the connection's
+/// stream without ever waiting.  The tail goes first, then as much of
+/// `line` as the socket takes now; the rest joins the tail.
+fn send(w: &mut Writer, conn: &ConnShared, line: &[u8]) {
     if conn.closed.load(Ordering::Relaxed) {
         return;
     }
-    let mut w = lock(&conn.writer);
     if faults::fire(Site::ConnWriteShort) {
         // Injected fault: half a response, then a dropped connection.
         // The newline never arrives, so a client can not mistake the
         // prefix for a frame.
-        let _ = write_all_nb(&mut w, &line[..line.len() / 2], timeout);
-        let _ = w.shutdown(std::net::Shutdown::Both);
-        conn.closed.store(true, Ordering::Relaxed);
+        w.tail.extend_from_slice(&line[..line.len() / 2]);
+        push(w, conn);
+        sever(w, conn);
         return;
     }
-    if write_all_nb(&mut w, line, timeout).is_err() {
-        let _ = w.shutdown(std::net::Shutdown::Both);
-        conn.closed.store(true, Ordering::Relaxed);
+    if w.tail.is_empty() {
+        match write_nb(&mut w.stream, line) {
+            Ok(n) => {
+                w.sent += n as u64;
+                w.tail.extend_from_slice(&line[n..]);
+            }
+            Err(_) => sever(w, conn),
+        }
+    } else {
+        w.tail.extend_from_slice(line);
+        push(w, conn);
     }
 }
 
-fn write_all_nb(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) -> std::io::Result<()> {
-    let deadline = Instant::now() + timeout;
-    while !buf.is_empty() {
-        match stream.write(buf) {
+/// Sends as much of the tail as the socket takes now.
+fn push(w: &mut Writer, conn: &ConnShared) {
+    match write_nb(&mut w.stream, &w.tail) {
+        Ok(n) if n == w.tail.len() => {
+            w.sent += n as u64;
+            w.tail = Vec::new(); // drop the capacity a large tail grew
+        }
+        Ok(n) => {
+            w.sent += n as u64;
+            w.tail.drain(..n);
+        }
+        Err(_) => sever(w, conn),
+    }
+}
+
+/// Severs a connection whose writes failed or timed out.
+fn sever(w: &Writer, conn: &ConnShared) {
+    let _ = w.stream.shutdown(std::net::Shutdown::Both);
+    conn.closed.store(true, Ordering::Relaxed);
+}
+
+/// Writes what the socket takes now: the byte count, or the error that
+/// makes the connection unusable.
+fn write_nb(stream: &mut TcpStream, buf: &[u8]) -> std::io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match stream.write(&buf[n..]) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(std::io::ErrorKind::TimedOut.into());
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            Ok(k) => n += k,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(n)
+}
+
+/// Pushes the tail until `sent` holds, sleeping between attempts without
+/// the lock, and severs the connection if it has not by `timeout`.
+/// Returns the writer lock taken when it held (or the connection died).
+fn wait_sent(
+    conn: &ConnShared,
+    timeout: Duration,
+    sent: impl Fn(&Writer) -> bool,
+) -> MutexGuard<'_, Writer> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let mut w = lock(&conn.writer);
+        if !w.tail.is_empty() {
+            push(&mut w, conn);
+        }
+        if sent(&w) || conn.closed.load(Ordering::Relaxed) {
+            return w;
+        }
+        if Instant::now() >= deadline {
+            sever(&w, conn);
+            return w;
+        }
+        drop(w);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Writes one response line from a worker, which may wait: up to
+/// `timeout` for the line to leave, then the connection is severed.
+fn write_line(conn: &ConnShared, line: &[u8], timeout: Duration) {
+    let end = {
+        let mut w = lock(&conn.writer);
+        send(&mut w, conn, line);
+        if w.tail.is_empty() {
+            return;
+        }
+        w.sent + w.tail.len() as u64
+    };
+    drop(wait_sent(conn, timeout, |w| w.sent >= end));
 }
 
 /// Worker loop: pop a job, serve it, repeat; exit once shutdown is
@@ -657,13 +841,13 @@ fn worker(shared: &Shared) {
                 std::thread::sleep(d);
             }
         }
+        let conn = Arc::clone(&job.conn);
         shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_job(&job, shared)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| handle_job(job, shared)));
         shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
         // The in-flight count must drop even if the handler escaped, or
         // the connection would stay suspended forever.
-        job.conn.inflight.fetch_sub(1, Ordering::Relaxed);
+        conn.inflight.fetch_sub(1, Ordering::Relaxed);
         if outcome.is_err() {
             shared.metrics.worker_respawns_total.fetch_add(1, Ordering::Relaxed);
         }
@@ -671,10 +855,19 @@ fn worker(shared: &Shared) {
 }
 
 /// Serves one job end to end: charge queue wait, run the request, write
-/// the response to the owning connection.
-fn handle_job(job: &Job, shared: &Shared) {
-    let queue_age = job.enqueued_at.elapsed();
-    let (mut resp, drain) = process_line(&job.line, shared, queue_age);
+/// the response to the owning connection; or send a connection's tail.
+fn handle_job(job: Job, shared: &Shared) {
+    let line = match job.work {
+        Work::Line(line) => line,
+        Work::Flush => {
+            let w = wait_sent(&job.conn, shared.cfg.read_timeout, |w| w.tail.is_empty());
+            job.conn.backlogged.store(false, Ordering::Relaxed);
+            drop(w);
+            return;
+        }
+    };
+    let queue_age = line.enqueued_at.elapsed();
+    let (mut resp, drain) = process_line(&line.bytes, line.decoded, line.spent, shared, queue_age);
     resp.push('\n');
     write_line(&job.conn, resp.as_bytes(), shared.cfg.read_timeout);
     if drain {
@@ -684,21 +877,28 @@ fn handle_job(job: &Job, shared: &Shared) {
 }
 
 /// Processes one request line; returns the response line (no newline)
-/// and whether a graceful drain was requested.
+/// and whether a graceful drain was requested.  `decoded` is the event
+/// loop's decode of `line`, if it made one, and `spent` the on-CPU time
+/// the loop already spent on it.
 ///
 /// This is the panic-isolation boundary: a panic anywhere in request
 /// handling — a transform bug, a poisoned invariant, an injected fault —
 /// is caught here and answered with a structured `internal` error, so the
 /// connection and worker keep serving.
-fn process_line(line: &[u8], shared: &Shared, queue_age: Duration) -> (String, bool) {
+fn process_line(
+    line: &[u8],
+    decoded: Option<Result<Request, ServeError>>,
+    spent: Duration,
+    shared: &Shared,
+    queue_age: Duration,
+) -> (String, bool) {
     let meter = mbb_obs::Meter::start();
     // The request's `"id"`, captured as soon as it parses so even error
     // and panic responses pair up under pipelining.
     let mut rid: Option<String> = None;
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        respond(line, shared, queue_age, &mut rid)
-    }));
-    let busy = meter.finish().busy();
+    let out =
+        catch_unwind(AssertUnwindSafe(|| respond(line, decoded, shared, queue_age, &mut rid)));
+    let busy = meter.finish().busy() + spent;
     shared.metrics.latency.observe(busy);
     observe_pressure(shared, busy);
     match out {
@@ -734,8 +934,100 @@ fn observe_pressure(shared: &Shared, busy: Duration) {
     shared.metrics.brownout_level_max.fetch_max(level as u64, Ordering::Relaxed);
 }
 
+/// What the event loop did with one request line.
+enum Attempt {
+    /// Answered from the caches: counted and handed to the writer.
+    Answered,
+    /// Left to a worker, with nothing counted: the loop's decode (`None`
+    /// if it panicked) and the on-CPU time spent.
+    Deferred(Option<Result<Request, ServeError>>, Duration),
+}
+
+/// The event loop's attempt at one line: answer it here if it is a plain
+/// cache hit ([`plain_hit`]) and the connection's writer is free, or
+/// defer it.  A panic anywhere before the answer defers the line to the
+/// worker path, whose panic boundary answers it.
+fn attempt(line: &[u8], conn: &Arc<ConnShared>, shared: &Shared) -> Attempt {
+    let meter = mbb_obs::Meter::start();
+    let decoded = catch_unwind(|| decode(line)).ok();
+    if let Some(Ok(req)) = &decoded {
+        if let Ok(Some(hit)) = catch_unwind(AssertUnwindSafe(|| plain_hit(req, shared))) {
+            let writer = match conn.writer.try_lock() {
+                Ok(w) => Some(w),
+                Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            if let Some(mut w) = writer {
+                count_hit(shared, req, &hit, meter.finish().busy());
+                send(&mut w, conn, hit.resp.as_bytes());
+                flush_later(&w, conn, shared);
+                return Attempt::Answered;
+            }
+        }
+    }
+    Attempt::Deferred(decoded, meter.finish().busy())
+}
+
+/// A plain cache hit, ready to write.
+struct Hit {
+    /// The request's source-memo key.
+    source_key: u64,
+    /// Its result-cache key.
+    key: u64,
+    /// The response line, newline included.
+    resp: String,
+}
+
+/// The stages in lookup-only form: `Some` exactly when the worker path
+/// would answer `req` from the result cache with no side trip — a
+/// program kind, not profiled, both the memo and the result entry
+/// present, a key this node owns (or a relay it must serve), and no
+/// shed, expiry, admission or degrade rule firing at queue age 0.
+/// Counts nothing and stamps nothing.
+fn plain_hit(req: &Request, shared: &Shared) -> Option<Hit> {
+    if !req.kind.takes_program() || req.profile {
+        return None;
+    }
+    let mut plan = plan(shared, req, Duration::ZERO).ok()?;
+    let source_key = source_key(req.kind, &plan.opts.machine.name, &plan.flags, plan.src);
+    let (key, est_ms) = shared.memo.peek(source_key)?;
+    admit(&plan, est_ms).ok()?;
+    if !degrade(&mut plan).is_empty() {
+        return None;
+    }
+    if !req.forwarded && shared.cluster.peek_route(key) != Route::Local {
+        return None;
+    }
+    let val = shared.cache.peek(key)?;
+    let mut resp = protocol::ok_response(req.kind, true, &val, req.id.as_deref());
+    resp.push('\n');
+    Some(Hit { source_key, key, resp })
+}
+
+/// Counts a hit answered on the event loop exactly as the worker path
+/// counts the same hit: the request, the memo hit, the local route, the
+/// result hit, the CPU histogram and the brown-out observation.
+fn count_hit(shared: &Shared, req: &Request, hit: &Hit, busy: Duration) {
+    count_request(shared, req);
+    shared.memo.record_hit(hit.source_key);
+    if !req.forwarded {
+        // The `route` stage's count; the ring is fixed, so it decides
+        // what `peek_route` did.
+        let decided = shared.cluster.route(hit.key);
+        debug_assert_eq!(decided, Route::Local);
+        shared.metrics.route_local_total.fetch_add(1, Ordering::Relaxed);
+    }
+    shared.cache.record_hit(hit.key);
+    shared.metrics.latency.observe(busy);
+    observe_pressure(shared, busy);
+    shared.metrics.loop_answers_total.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The worker path: every stage in order, each refusal counted and
+/// answered, misses computed.
 fn respond(
     line: &[u8],
+    decoded: Option<Result<Request, ServeError>>,
     shared: &Shared,
     queue_age: Duration,
     rid: &mut Option<String>,
@@ -748,41 +1040,117 @@ fn respond(
     if faults::fire(Site::HandlerPanic) {
         panic!("{}", faults::PANIC_PAYLOAD);
     }
-    let text = std::str::from_utf8(line)
-        .map_err(|_| ServeError::new(ErrorKind::BadRequest, "request is not UTF-8"))?;
-    let req = protocol::parse_request(text)?;
+    let req = match decoded {
+        Some(decoded) => decoded?,
+        None => decode(line)?,
+    };
     rid.clone_from(&req.id);
     let id = req.id.as_deref();
+    count_request(shared, &req);
+    if let Some(answer) = admin(shared, &req) {
+        return Ok(answer);
+    }
+    let kind = req.kind;
+    let mut plan = plan(shared, &req, queue_age).map_err(|r| r.count(shared))?;
+    let keyed =
+        key_request(shared, kind, &plan.opts.machine.name, &plan.flags, plan.src, plan.deadline)?;
+    admit(&plan, keyed.est_ms).map_err(|r| r.count(shared))?;
+    let actions = degrade(&mut plan);
+    let Plan { src, level, opts, sp, deadline, .. } = plan;
+    // The program is parsed again only when this request runs the
+    // analysis and its key came from the memo.
+    let compute = |prog: Option<Program>| -> Result<analysis::Analysis, ServeError> {
+        let prog = match prog {
+            Some(p) => p,
+            None => analysis::load(src)?,
+        };
+        let a = match kind {
+            Kind::Report => analysis::report(&prog, &opts)?,
+            Kind::Advise => analysis::advise(&prog, &opts)?,
+            Kind::TraceStats => analysis::trace_stats(&prog, &opts)?,
+            Kind::Optimize => analysis::optimize(&prog, &opts)?.0,
+            Kind::OptimizeSearch => analysis::optimize_search(&prog, &opts, &sp)?.0,
+            _ => unreachable!("non-program kinds handled above"),
+        };
+        Ok(a)
+    };
+    if !actions.is_empty() {
+        for &a in &actions {
+            shared.metrics.count_degraded(a);
+        }
+        let a = compute(keyed.prog)?;
+        let val = Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact();
+        let degraded = Json::obj([
+            ("level", Json::UInt(level)),
+            ("actions", Json::Arr(actions.iter().map(|a| Json::str(a.as_str())).collect())),
+        ])
+        .render_compact();
+        return Ok((protocol::degraded_response(kind, &degraded, &val, id), false));
+    }
+    if req.profile {
+        // Profiles describe *this* execution (wall/CPU time), so a
+        // profiled request bypasses the cache in both directions: it
+        // neither reads a cached result nor stores one.
+        let a = compute(keyed.prog)?;
+        let mut pairs = vec![("text", Json::str(a.text)), ("data", a.data)];
+        if let Some(p) = &a.profile {
+            shared.metrics.record_phases(p);
+            pairs.push(("profile", analysis::profile_json(p)));
+        }
+        let val = Json::obj(pairs).render_compact();
+        return Ok((protocol::ok_response(kind, false, &val, id), false));
+    }
+    let key = keyed.key;
+    if !req.forwarded {
+        if let Some(resp) = route(shared, key, line) {
+            return Ok((resp, false));
+        }
+    }
+    let (val, hit) = shared.cache.get_or_compute_until(key, deadline, || {
+        let a = compute(keyed.prog)?;
+        Ok(Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact())
+    })?;
+    Ok((protocol::ok_response(kind, hit, &val, id), false))
+}
+
+/// The `decode` stage: one line's request envelope.
+fn decode(line: &[u8]) -> Result<Request, ServeError> {
+    let text = std::str::from_utf8(line)
+        .map_err(|_| ServeError::new(ErrorKind::BadRequest, "request is not UTF-8"))?;
+    protocol::parse_request(text)
+}
+
+/// Counts a decoded request, and a relay from a peer.
+fn count_request(shared: &Shared, req: &Request) {
     shared.metrics.count_request(req.kind);
     if req.forwarded {
         shared.metrics.forwarded_in_total.fetch_add(1, Ordering::Relaxed);
         shared.cluster.count_forwarded_in();
     }
-    let class = Class::of(req.kind);
-    // The published brown-out level.  Only the controller stores to this
-    // gauge (and only when `cfg.brownout` is on), so it stays 0 when the
-    // controller is disabled — but reading it unconditionally lets tests
-    // pin a level without racing the controller.
-    let level = shared.metrics.brownout_level.load(Ordering::Relaxed);
-    match req.kind {
+}
+
+/// The `admin` stage: the answer to a kind that takes no program.
+fn admin(shared: &Shared, req: &Request) -> Option<(String, bool)> {
+    let id = req.id.as_deref();
+    let answer = match req.kind {
         Kind::Metrics => {
             let text = shared.metrics.render(shared.cache.stats(), shared.memo.stats());
             let result = Json::obj([("text", Json::str(text))]).render_compact();
-            Ok((protocol::ok_response(Kind::Metrics, false, &result, id), false))
+            (protocol::ok_response(Kind::Metrics, false, &result, id), false)
         }
         Kind::Shutdown => {
             let result = Json::obj([("draining", Json::Bool(true))]).render_compact();
-            Ok((protocol::ok_response(Kind::Shutdown, false, &result, id), true))
+            (protocol::ok_response(Kind::Shutdown, false, &result, id), true)
         }
         Kind::Machines => {
             let a = analysis::machines();
             let result =
                 Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact();
-            Ok((protocol::ok_response(Kind::Machines, false, &result, id), false))
+            (protocol::ok_response(Kind::Machines, false, &result, id), false)
         }
         Kind::ClusterStats => {
             let result = shared.cluster.stats_json();
-            Ok((protocol::ok_response(Kind::ClusterStats, false, &result, id), false))
+            (protocol::ok_response(Kind::ClusterStats, false, &result, id), false)
         }
         Kind::Health => {
             let ctl = lock(&shared.overload);
@@ -799,178 +1167,206 @@ fn respond(
                 ("brownout_enabled", Json::Bool(shared.cfg.brownout)),
             ])
             .render_compact();
-            Ok((protocol::ok_response(Kind::Health, false, &result, id), false))
+            (protocol::ok_response(Kind::Health, false, &result, id), false)
         }
-        kind => {
-            // Priority shedding: as the request queue fills past a class's
-            // threshold, that class is refused with a structured busy —
-            // low classes give way first, admin traffic never does.
-            let depth = shared.metrics.queue_depth.load(Ordering::Relaxed);
-            let weight = u64::from(CLASS_WEIGHTS[class.index()]);
-            if depth * 100 > (shared.cfg.queue_depth as u64) * weight {
-                shared.metrics.count_shed(class, Reason::Saturation);
-                return Err(ServeError::new(
-                    ErrorKind::Busy,
-                    format!(
-                        "shedding {} traffic: accept queue {depth}/{} is past the class threshold ({weight}%)",
-                        class.as_str(),
-                        shared.cfg.queue_depth
-                    ),
-                ));
-            }
-            // Brown-out level 3: the lowest class is shed outright.
-            if level >= 3 && class == Class::Search {
-                shared.metrics.count_shed(class, Reason::Brownout);
-                return Err(ServeError::new(
-                    ErrorKind::Busy,
-                    "brown-out level 3: optimize-search is shed until pressure drops",
-                ));
-            }
-            let src = req.program.as_deref().expect("enforced by parse_request");
-            let mut opts = req.flags.to_options(&req.machine)?;
-            opts.budget = effective_budget(&shared.cfg, req.budget);
-            // The wall deadline has been running since the request was
-            // queued: charge the time it spent waiting for a worker, and
-            // answer expiry without ever touching the analysis layer.
-            if let Some(wall) = opts.budget.wall {
-                if queue_age >= wall {
-                    shared.metrics.count_shed(class, Reason::Expired);
-                    return Err(ServeError::new(
-                        ErrorKind::DeadlineExceeded,
-                        format!(
-                            "deadline of {}ms expired after {}ms in the accept queue",
-                            wall.as_millis(),
-                            queue_age.as_millis()
-                        ),
-                    ));
-                }
-                opts.budget.wall = Some(wall - queue_age);
-            }
-            // Where the remaining wall budget runs out: a request that joins
-            // an identical in-flight compute stops waiting for it here.
-            let deadline = opts.budget.wall.map(|wall| Instant::now() + wall);
-            opts.profile = req.profile;
-            opts.engine = req.engine;
-            let flags = req.flags.key();
-            let keyed = key_request(shared, kind, &opts.machine.name, &flags, src, deadline)?;
-            // Cost-based admission: a request that cannot possibly finish
-            // inside its remaining deadline is rejected up front.
-            if let Some(remaining) = opts.budget.wall {
-                let est = keyed.est_ms;
-                if Duration::from_millis(est) > remaining {
-                    shared.metrics.count_shed(class, Reason::Admission);
-                    return Err(ServeError::new(
-                        ErrorKind::DeadlineExceeded,
-                        format!(
-                            "admission: estimated cost ~{est}ms cannot fit the remaining {}ms deadline",
-                            remaining.as_millis()
-                        ),
-                    ));
-                }
-            }
-            // Search width/depth come from the flags (and are part of the
-            // cache key via `Flags::key`); the seed stays at the crate
-            // default so responses are a pure function of the request.
-            let mut sp = analysis::SearchParams {
-                beam: req
-                    .flags
-                    .beam
-                    .map_or_else(|| analysis::SearchParams::default().beam, |b| b as usize),
-                steps: req
-                    .flags
-                    .search_steps
-                    .map_or_else(|| analysis::SearchParams::default().steps, |s| s as usize),
-                ..analysis::SearchParams::default()
-            };
-            // Brown-out degradation: level 1 drops profile splicing,
-            // level 2 also clamps search width/depth.  Either action makes
-            // the response *degraded*: it carries an explicit marker and
-            // bypasses the result cache in both directions (the profile
-            // rule), so cached bytes stay identical at every level.
-            let mut actions: Vec<DegradeAction> = Vec::new();
-            if level >= 1 && opts.profile {
-                opts.profile = false;
-                actions.push(DegradeAction::NoProfile);
-            }
-            if level >= 2
-                && kind == Kind::OptimizeSearch
-                && (sp.beam > BROWNOUT_BEAM || sp.steps > BROWNOUT_STEPS)
-            {
-                sp.beam = sp.beam.min(BROWNOUT_BEAM);
-                sp.steps = sp.steps.min(BROWNOUT_STEPS);
-                actions.push(DegradeAction::SearchClamp);
-            }
-            // The program is parsed again only when this request runs the
-            // analysis and its key came from the memo.
-            let compute = |prog: Option<Program>| -> Result<analysis::Analysis, ServeError> {
-                let prog = match prog {
-                    Some(p) => p,
-                    None => analysis::load(src)?,
-                };
-                let a = match kind {
-                    Kind::Report => analysis::report(&prog, &opts)?,
-                    Kind::Advise => analysis::advise(&prog, &opts)?,
-                    Kind::TraceStats => analysis::trace_stats(&prog, &opts)?,
-                    Kind::Optimize => analysis::optimize(&prog, &opts)?.0,
-                    Kind::OptimizeSearch => analysis::optimize_search(&prog, &opts, &sp)?.0,
-                    _ => unreachable!("non-program kinds handled above"),
-                };
-                Ok(a)
-            };
-            if !actions.is_empty() {
-                for &a in &actions {
-                    shared.metrics.count_degraded(a);
-                }
-                let a = compute(keyed.prog)?;
-                let val =
-                    Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact();
-                let degraded = Json::obj([
-                    ("level", Json::UInt(level)),
-                    ("actions", Json::Arr(actions.iter().map(|a| Json::str(a.as_str())).collect())),
-                ])
-                .render_compact();
-                return Ok((protocol::degraded_response(kind, &degraded, &val, id), false));
-            }
-            if req.profile {
-                // Profiles describe *this* execution (wall/CPU time), so a
-                // profiled request bypasses the cache in both directions:
-                // it neither reads a cached result nor stores one.
-                let a = compute(keyed.prog)?;
-                let mut pairs = vec![("text", Json::str(a.text)), ("data", a.data)];
-                if let Some(p) = &a.profile {
-                    shared.metrics.record_phases(p);
-                    pairs.push(("profile", analysis::profile_json(p)));
-                }
-                let val = Json::obj(pairs).render_compact();
-                return Ok((protocol::ok_response(kind, false, &val, id), false));
-            }
-            let key = keyed.key;
-            // Shard routing: if another node owns this content-address,
-            // relay the request one hop (never re-forward a relay) so the
-            // whole tier shares one cache fill per unique key.  A failed
-            // relay falls back to computing locally — correctness never
-            // depends on a peer being up.
-            if !req.forwarded {
-                match shared.cluster.route(key) {
-                    Route::Peer(peer) => {
-                        shared.metrics.route_forward_total.fetch_add(1, Ordering::Relaxed);
-                        match shared.cluster.forward(peer, text) {
-                            Ok(resp) => return Ok((resp, false)),
-                            Err(_) => {
-                                shared.metrics.forward_errors_total.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Route::Local => {
-                        shared.metrics.route_local_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            let (val, hit) = shared.cache.get_or_compute_until(key, deadline, || {
-                let a = compute(keyed.prog)?;
-                Ok(Json::obj([("text", Json::str(a.text)), ("data", a.data)]).render_compact())
-            })?;
-            Ok((protocol::ok_response(kind, hit, &val, id), false))
+        _ => return None,
+    };
+    Some(answer)
+}
+
+/// A stage's refusal: the error that answers it and, for a shed rule, the
+/// `mbb_serve_shed_total` cell it counts under.  Stages count nothing:
+/// the worker path counts the refusals it answers, and the event loop
+/// defers a line any stage would refuse.
+struct Refusal {
+    err: ServeError,
+    shed: Option<(Class, Reason)>,
+}
+
+impl Refusal {
+    fn shed(class: Class, reason: Reason, err: ServeError) -> Refusal {
+        Refusal { err, shed: Some((class, reason)) }
+    }
+
+    /// Counts the refusal and hands back its error.
+    fn count(self, shared: &Shared) -> ServeError {
+        if let Some((class, reason)) = self.shed {
+            shared.metrics.count_shed(class, reason);
+        }
+        self.err
+    }
+}
+
+impl From<ServeError> for Refusal {
+    fn from(err: ServeError) -> Refusal {
+        Refusal { err, shed: None }
+    }
+}
+
+/// A program request past its envelope: what the stages after `admin`
+/// read.
+struct Plan<'r> {
+    src: &'r str,
+    class: Class,
+    /// The published brown-out level.  Only the controller stores to
+    /// this gauge (and only when `cfg.brownout` is on), so it stays 0
+    /// when the controller is disabled — but reading it unconditionally
+    /// lets tests pin a level without racing the controller.
+    level: u64,
+    opts: analysis::Options,
+    /// [`Flags::key`](protocol::Flags::key), for the cache keys.
+    flags: String,
+    sp: analysis::SearchParams,
+    /// Where the remaining wall budget runs out: a request that joins an
+    /// identical in-flight compute stops waiting for it here.
+    deadline: Option<Instant>,
+}
+
+/// The `shed` and `expire` stages, and the options every later stage
+/// reads.
+fn plan<'r>(shared: &Shared, req: &'r Request, queue_age: Duration) -> Result<Plan<'r>, Refusal> {
+    let class = Class::of(req.kind);
+    let level = shared.metrics.brownout_level.load(Ordering::Relaxed);
+    shed(shared, class, level)?;
+    let src = req.program.as_deref().expect("enforced by parse_request");
+    let mut opts = req.flags.to_options(&req.machine)?;
+    opts.budget = effective_budget(&shared.cfg, req.budget);
+    opts.budget.wall = expire(opts.budget.wall, queue_age, class)?;
+    let deadline = opts.budget.wall.map(|wall| Instant::now() + wall);
+    opts.profile = req.profile;
+    opts.engine = req.engine;
+    // Search width/depth come from the flags (and are part of the cache
+    // key via `Flags::key`); the seed stays at the crate default so
+    // responses are a pure function of the request.
+    let defaults = analysis::SearchParams::default();
+    let sp = analysis::SearchParams {
+        beam: req.flags.beam.map_or(defaults.beam, |b| b as usize),
+        steps: req.flags.search_steps.map_or(defaults.steps, |s| s as usize),
+        ..defaults
+    };
+    Ok(Plan { src, class, level, opts, flags: req.flags.key(), sp, deadline })
+}
+
+/// The `shed` stage.  Priority shedding: as the request queue fills past
+/// a class's threshold, that class is refused with a structured busy —
+/// low classes give way first, admin traffic never does.  At brown-out
+/// level 3 the lowest class is shed outright.
+fn shed(shared: &Shared, class: Class, level: u64) -> Result<(), Refusal> {
+    let depth = shared.metrics.queue_depth.load(Ordering::Relaxed);
+    let weight = u64::from(CLASS_WEIGHTS[class.index()]);
+    if depth * 100 > (shared.cfg.queue_depth as u64) * weight {
+        return Err(Refusal::shed(
+            class,
+            Reason::Saturation,
+            ServeError::new(
+                ErrorKind::Busy,
+                format!(
+                    "shedding {} traffic: accept queue {depth}/{} is past the class threshold ({weight}%)",
+                    class.as_str(),
+                    shared.cfg.queue_depth
+                ),
+            ),
+        ));
+    }
+    if level >= 3 && class == Class::Search {
+        return Err(Refusal::shed(
+            class,
+            Reason::Brownout,
+            ServeError::new(
+                ErrorKind::Busy,
+                "brown-out level 3: optimize-search is shed until pressure drops",
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// The `expire` stage: the wall deadline has been running since the
+/// request was queued, so the time it spent waiting for a worker is
+/// charged, and expiry is answered without ever touching the analysis
+/// layer.  Returns the remaining wall budget.
+fn expire(
+    wall: Option<Duration>,
+    queue_age: Duration,
+    class: Class,
+) -> Result<Option<Duration>, Refusal> {
+    let Some(wall) = wall else { return Ok(None) };
+    if queue_age >= wall {
+        return Err(Refusal::shed(
+            class,
+            Reason::Expired,
+            ServeError::new(
+                ErrorKind::DeadlineExceeded,
+                format!(
+                    "deadline of {}ms expired after {}ms in the accept queue",
+                    wall.as_millis(),
+                    queue_age.as_millis()
+                ),
+            ),
+        ));
+    }
+    Ok(Some(wall - queue_age))
+}
+
+/// The `admit` stage.  Cost-based admission: a request that cannot
+/// possibly finish inside its remaining deadline is rejected up front.
+fn admit(plan: &Plan<'_>, est_ms: u64) -> Result<(), Refusal> {
+    match plan.opts.budget.wall {
+        Some(remaining) if Duration::from_millis(est_ms) > remaining => Err(Refusal::shed(
+            plan.class,
+            Reason::Admission,
+            ServeError::new(
+                ErrorKind::DeadlineExceeded,
+                format!(
+                    "admission: estimated cost ~{est_ms}ms cannot fit the remaining {}ms deadline",
+                    remaining.as_millis()
+                ),
+            ),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The `degrade` stage.  Brown-out degradation: level 1 drops profile
+/// splicing, level 2 also clamps search width/depth.  Either action makes
+/// the response *degraded*: it carries an explicit marker and bypasses
+/// the result cache in both directions (the profile rule), so cached
+/// bytes stay identical at every level.  Returns the actions applied.
+fn degrade(plan: &mut Plan<'_>) -> Vec<DegradeAction> {
+    let mut actions = Vec::new();
+    if plan.level >= 1 && plan.opts.profile {
+        plan.opts.profile = false;
+        actions.push(DegradeAction::NoProfile);
+    }
+    let sp = &mut plan.sp;
+    if plan.level >= 2
+        && plan.class == Class::Search
+        && (sp.beam > BROWNOUT_BEAM || sp.steps > BROWNOUT_STEPS)
+    {
+        sp.beam = sp.beam.min(BROWNOUT_BEAM);
+        sp.steps = sp.steps.min(BROWNOUT_STEPS);
+        actions.push(DegradeAction::SearchClamp);
+    }
+    actions
+}
+
+/// The `route` stage.  Shard routing: if another node owns this
+/// content-address, relay the request one hop (never re-forward a
+/// relay) so the whole tier shares one cache fill per unique key, and
+/// return the peer's answer.  A failed relay falls back to computing
+/// locally — correctness never depends on a peer being up.
+fn route(shared: &Shared, key: u64, line: &[u8]) -> Option<String> {
+    let Route::Peer(peer) = shared.cluster.route(key) else {
+        shared.metrics.route_local_total.fetch_add(1, Ordering::Relaxed);
+        return None;
+    };
+    shared.metrics.route_forward_total.fetch_add(1, Ordering::Relaxed);
+    let text = std::str::from_utf8(line).expect("a decoded line is UTF-8");
+    match shared.cluster.forward(peer, text) {
+        Ok(resp) => Some(resp),
+        Err(_) => {
+            shared.metrics.forward_errors_total.fetch_add(1, Ordering::Relaxed);
+            None
         }
     }
 }
@@ -983,6 +1379,12 @@ struct Keyed {
     est_ms: u64,
     /// The parsed program, when this request had to parse it.
     prog: Option<Program>,
+}
+
+/// The source memo's key for a request: the
+/// [`cache_key`](mbb_core::canon::cache_key) layout over the raw source.
+fn source_key(kind: Kind, machine: &str, flags: &str, src: &str) -> u64 {
+    mbb_core::canon::cache_key(kind.as_str(), machine, flags, src)
 }
 
 /// The `key` stage of a program request: its result-cache key and
@@ -1007,17 +1409,19 @@ fn key_request(
     src: &str,
     deadline: Option<Instant>,
 ) -> Result<Keyed, ServeError> {
-    let source_key = mbb_core::canon::cache_key(kind.as_str(), machine, flags, src);
     let mut prog = None;
-    let ((key, est_ms), _) =
-        shared.memo.get_or_compute(source_key, cache::wait_until(deadline), || {
+    let ((key, est_ms), _) = shared.memo.get_or_compute(
+        source_key(kind, machine, flags, src),
+        cache::wait_until(deadline),
+        || {
             let p = analysis::load(src)?;
             let canon = analysis::canonical_source(&p);
             let key = mbb_core::canon::cache_key(kind.as_str(), machine, flags, &canon);
             let est = overload::estimate_cost_ms(&p, kind);
             prog = Some(p);
             Ok((key, est))
-        })?;
+        },
+    )?;
     Ok(Keyed { key, est_ms, prog })
 }
 
@@ -1029,7 +1433,7 @@ mod tests {
     /// test's fault plan.
     fn run(shared: &Shared, line: &str, queue_age: Duration) -> (String, bool) {
         let _faults = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
-        process_line(line.as_bytes(), shared, queue_age)
+        process_line(line.as_bytes(), None, Duration::ZERO, shared, queue_age)
     }
 
     fn process(shared: &Shared, line: &str) -> Json {
@@ -1294,7 +1698,8 @@ mod tests {
         let tight = REQ
             .replace("\"kind\":\"report\"", "\"kind\":\"report\",\"budget\":{\"deadline_ms\":50}");
         let t = Instant::now();
-        let (resp, _) = process_line(tight.as_bytes(), &shared, Duration::ZERO);
+        let (resp, _) =
+            process_line(tight.as_bytes(), None, Duration::ZERO, &shared, Duration::ZERO);
         let waited = t.elapsed();
         let resp = Json::parse(&resp).unwrap();
         let _ = release.send(());
@@ -1328,7 +1733,10 @@ mod tests {
         let _t = crate::faults::TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());
         let shared = test_shared();
         let process = |line: &str| {
-            Json::parse(&process_line(line.as_bytes(), &shared, Duration::ZERO).0).unwrap()
+            Json::parse(
+                &process_line(line.as_bytes(), None, Duration::ZERO, &shared, Duration::ZERO).0,
+            )
+            .unwrap()
         };
         let resp = {
             let _g = crate::faults::install(
@@ -1726,5 +2134,151 @@ mod tests {
         assert_eq!(err.get("exit_code"), Some(&Json::UInt(6)));
         // Budget errors must not occupy cache entries.
         assert_eq!(shared.cache.stats().entries, 0);
+    }
+
+    /// Two triangular nests: admission assumes 2^16 trips for each, so a
+    /// `report` is estimated at ~2 ms while it really runs ~70 steps.
+    const TRI_REQ: &str = "{\"schema\":\"mbb-serve/1\",\"kind\":\"report\",\"program\":\"array a[8]\\nscalar s = 0  // printed\\nfor i = 0, 7\\n  for j = 0, i\\n    s = (s + a[j])\\n  end for\\nend for\\nfor k = 0, 7\\n  for m = 0, k\\n    s = (s + a[m])\\n  end for\\nend for\\n\"}";
+
+    /// A connection's shared half over a real loopback socket, and the
+    /// client end that reads its responses.
+    fn conn_pair() -> (Arc<ConnShared>, std::io::BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let conn = Arc::new(ConnShared {
+            writer: Mutex::new(Writer { stream: server, tail: Vec::new(), sent: 0 }),
+            inflight: AtomicUsize::new(0),
+            backlogged: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+        });
+        (conn, std::io::BufReader::new(client))
+    }
+
+    /// The counters a scrape shows, less the ones a timing or the loop
+    /// itself moves: CPU-time sums and buckets, and the loop answers.
+    fn counters(shared: &Shared) -> String {
+        shared
+            .metrics
+            .render(shared.cache.stats(), shared.memo.stats())
+            .lines()
+            .filter(|l| {
+                !l.contains("_seconds_bucket")
+                    && !l.contains("_seconds_sum")
+                    && !l.contains("loop_answers_total")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Sends `probe`, after `warm`, to two servers built from `cfg` with
+    /// the brown-out level pinned at `level`: one as the event loop does
+    /// (its attempt, and a worker for a deferred line, carrying the
+    /// loop's decode) and one down the worker path alone.  Asserts that a
+    /// deferred attempt counted nothing and that both servers end with
+    /// the same counters; returns both responses and whether the loop
+    /// answered.
+    fn twin(cfg: &Config, warm: &[&str], level: u64, probe: &str) -> (String, String, bool) {
+        let _faults = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
+        let [via_loop, via_worker] = [(); 2].map(|_| {
+            let shared = Shared::new(cfg.clone());
+            for line in warm {
+                process_line(line.as_bytes(), None, Duration::ZERO, &shared, Duration::ZERO);
+            }
+            shared.metrics.brownout_level.store(level, Ordering::Relaxed);
+            shared
+        });
+        let (conn, mut reader) = conn_pair();
+        let before = counters(&via_loop);
+        let answered = match attempt(probe.as_bytes(), &conn, &via_loop) {
+            Attempt::Answered => true,
+            Attempt::Deferred(decoded, spent) => {
+                assert_eq!(counters(&via_loop), before, "a deferred attempt counted");
+                assert!(decoded.is_some(), "the loop's decode rides along");
+                let (mut resp, _) =
+                    process_line(probe.as_bytes(), decoded, spent, &via_loop, Duration::ZERO);
+                resp.push('\n');
+                write_line(&conn, resp.as_bytes(), Duration::from_secs(5));
+                false
+            }
+        };
+        let mut looped = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut looped).unwrap();
+        let (worked, _) =
+            process_line(probe.as_bytes(), None, Duration::ZERO, &via_worker, Duration::ZERO);
+        assert_eq!(counters(&via_loop), counters(&via_worker), "counters diverged for {probe}");
+        let loop_answers = via_loop.metrics.loop_answers_total.load(Ordering::Relaxed);
+        assert_eq!(loop_answers, u64::from(answered));
+        (looped.trim_end().to_string(), worked, answered)
+    }
+
+    #[test]
+    fn a_loop_hit_leaves_the_bytes_and_counters_of_a_worker_hit() {
+        let cfg = Config { brownout: false, ..Config::default() };
+        let with_id = REQ.replace("\"kind\":\"report\"", "\"kind\":\"report\",\"id\":\"r-9\"");
+        for (probe, level) in [(REQ, 0), (with_id.as_str(), 0), (REQ, 1), (REQ, 2), (REQ, 3)] {
+            let (looped, worked, answered) = twin(&cfg, &[REQ], level, probe);
+            assert!(answered, "a plain repeat at level {level} is answered on the loop");
+            assert_eq!(looped, worked, "level {level}");
+            assert!(looped.contains("\"cached\":true"), "{looped}");
+        }
+    }
+
+    #[test]
+    fn the_loop_defers_everything_but_a_plain_hit_and_the_bytes_stay() {
+        let cfg = Config { brownout: false, ..Config::default() };
+        let wide = SEARCH_REQ.replace(
+            "\"options\":{\"beam\":2,\"search_steps\":2}",
+            "\"options\":{\"beam\":4,\"search_steps\":5}",
+        );
+        let noisy = REQ.replace("array a[64]\\n", "array   a[64]   // demand\\n\\n");
+        let refused = TRI_REQ
+            .replace("\"kind\":\"report\"", "\"kind\":\"report\",\"budget\":{\"deadline_ms\":1}");
+        let cases: [(&str, &[&str], u64, &str); 7] = [
+            ("an admission refusal", &[TRI_REQ], 0, &refused),
+            ("a clamped search", &[&wide], 2, &wide),
+            ("a shed search", &[SEARCH_REQ], 3, SEARCH_REQ),
+            ("a memo miss", &[REQ], 0, &noisy),
+            ("a result miss", &[], 0, REQ),
+            ("an admin kind", &[], 0, "{\"schema\":\"mbb-serve/1\",\"kind\":\"machines\"}"),
+            ("a malformed line", &[], 0, "{\"schema\":\"mbb-serve/1\""),
+        ];
+        for (what, warm, level, probe) in cases {
+            let (looped, worked, answered) = twin(&cfg, warm, level, probe);
+            assert!(!answered, "{what} was answered on the loop");
+            assert_eq!(looped, worked, "{what}");
+        }
+        let (looped, ..) = twin(&cfg, &[TRI_REQ], 0, &refused);
+        assert!(looped.contains("admission:"), "{looped}");
+    }
+
+    #[test]
+    fn a_profiled_repeat_is_deferred_and_still_profiled() {
+        let cfg = Config { brownout: false, ..Config::default() };
+        let profiled = REQ.replace("\"kind\":\"report\"", "\"kind\":\"report\",\"profile\":true");
+        let (looped, _, answered) = twin(&cfg, &[REQ], 0, &profiled);
+        assert!(!answered);
+        let doc = Json::parse(&looped).unwrap();
+        assert_eq!(doc.get("cached"), Some(&Json::Bool(false)), "{looped}");
+        assert!(doc.get("result").and_then(|r| r.get("profile")).is_some(), "{looped}");
+    }
+
+    #[test]
+    fn a_busy_writer_defers_the_hit_before_counting() {
+        let _faults = crate::faults::TEST_LOCK.read().unwrap_or_else(|p| p.into_inner());
+        let shared = Shared::new(Config { brownout: false, ..Config::default() });
+        process_line(REQ.as_bytes(), None, Duration::ZERO, &shared, Duration::ZERO);
+        let (conn, _reader) = conn_pair();
+        let before = counters(&shared);
+        let held = lock(&conn.writer);
+        assert!(matches!(
+            attempt(REQ.as_bytes(), &conn, &shared),
+            Attempt::Deferred(Some(Ok(_)), _)
+        ));
+        drop(held);
+        assert_eq!(counters(&shared), before);
+        assert!(matches!(attempt(REQ.as_bytes(), &conn, &shared), Attempt::Answered));
     }
 }

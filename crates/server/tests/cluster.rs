@@ -43,6 +43,7 @@ fn counter(m: &mbb_server::metrics::Metrics, which: &str) -> u64 {
         "forward" => m.route_forward_total.load(Ordering::Relaxed),
         "fwd_err" => m.forward_errors_total.load(Ordering::Relaxed),
         "fwd_in" => m.forwarded_in_total.load(Ordering::Relaxed),
+        "loop" => m.loop_answers_total.load(Ordering::Relaxed),
         other => panic!("unknown counter {other}"),
     }
 }
@@ -144,6 +145,34 @@ fn three_node_tier_is_cache_coherent_and_byte_identical() {
         assert_eq!(other_routed, counter(m, "forward"), "node {ni}: forward routing");
         assert_eq!(forwarded, counter(m, "forward") - counter(m, "fwd_err"), "node {ni}");
     }
+
+    // Every key is warm now.  One more request per key through every
+    // node, each on a fresh connection (so no worker still holds its
+    // writer): an owned key is answered on the entry node's event loop;
+    // a peer's key is forwarded, and the relay is answered on the
+    // owner's loop.  With `owned` keys, a node forwards 6 - owned and
+    // answers 3 × owned on its loop (its own requests plus both peers'
+    // relays).
+    let before: Vec<(u64, u64)> = nodes
+        .iter()
+        .map(|(h, _)| (counter(h.metrics(), "loop"), counter(h.metrics(), "forward")))
+        .collect();
+    for &addr in &addrs {
+        for &(kind, program) in &corpus {
+            let mut c = Client::connect(addr, Duration::from_secs(60)).unwrap();
+            let resp = c.analyze(kind, program, "origin").unwrap();
+            assert_eq!(resp.get("cached"), Some(&Json::Bool(true)), "{resp:?}");
+        }
+    }
+    let mut answered = 0;
+    for (ni, ((h, _), (loop0, fwd0))) in nodes.iter().zip(before).enumerate() {
+        let looped = counter(h.metrics(), "loop") - loop0;
+        let forwarded = counter(h.metrics(), "forward") - fwd0;
+        let owned = 6 - forwarded;
+        assert_eq!(looped, 3 * owned, "node {ni}: {owned} owned keys, {looped} loop answers");
+        answered += looped;
+    }
+    assert_eq!(answered, 18, "every warm request is answered on some node's event loop");
 
     for (h, t) in nodes {
         h.shutdown();

@@ -298,3 +298,52 @@ fn capacity_storm_escalates_and_recovers_to_level_zero() {
     handle.shutdown();
     thread.join().unwrap();
 }
+
+/// The event loop never blocks on a socket.  With the one worker busy on
+/// a long report and a queue of one, client A pipelines cheap requests
+/// and never reads: each is shed, and the busy answers pile up in A's
+/// socket.  Client B's next request must still be answered (busy counts)
+/// at once, not after a write to A times out.
+#[test]
+fn a_client_that_stops_reading_does_not_stall_the_event_loop() {
+    use std::io::Write as _;
+    use std::net::TcpStream;
+
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, queue_depth: 1, brownout: false, ..Config::default() })
+            .expect("server came up");
+    let m = handle.metrics();
+    // ~21M innermost iterations: seconds of work for the one worker.
+    let long = "program long\narray a[8]\nscalar s = 0  // printed\nfor i = 0, 2621439\n  for j = 0, 7\n    s = (s + a[j])\n  end for\nend for\n";
+    let busy_worker = std::thread::spawn(move || connect(addr).analyze("report", long, "origin"));
+    let t = Instant::now();
+    while m.workers_busy.load(Ordering::Relaxed) == 0 {
+        assert!(t.elapsed() < Duration::from_secs(30), "the long report never started");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Client A floods until the server stops taking its bytes.
+    let mut a = TcpStream::connect(addr).unwrap();
+    a.set_write_timeout(Some(Duration::from_millis(50))).unwrap();
+    let line = format!("{}\n", request("machines", None, "").render_compact()).repeat(64);
+    let flood = Instant::now();
+    while a.write_all(line.as_bytes()).is_ok() {
+        assert!(flood.elapsed() < Duration::from_secs(60), "the server never pushed back on A");
+    }
+    assert!(m.busy_total.load(Ordering::Relaxed) > 0, "A's flood was never shed");
+
+    let mut b = connect(addr);
+    let t = Instant::now();
+    let resp = b.roundtrip(&request("machines", None, "")).expect("B is answered");
+    let waited = t.elapsed();
+    assert!(
+        resp.get("ok") == Some(&Json::Bool(true)) || error_code(&resp).as_deref() == Some("busy"),
+        "{resp:?}"
+    );
+    assert!(waited < Duration::from_millis(300), "B waited {waited:?} behind A's socket");
+
+    drop(a);
+    assert!(busy_worker.join().unwrap().is_ok());
+    handle.shutdown();
+    thread.join().unwrap();
+}

@@ -218,3 +218,89 @@ proptest! {
         prop_assert!(seen.iter().all(|&c| c == 1), "ids answered exactly once: {:?}", seen);
     }
 }
+
+/// Hits answered on the event loop still pair up when the client sends a
+/// whole burst before reading a byte: replies the socket cannot take at
+/// once wait as the writer's tail, go out whole and in order once the
+/// client reads, and every id comes back exactly once.
+#[test]
+fn a_burst_of_hits_sent_before_any_read_arrives_whole_and_paired() {
+    let (addr, handle, thread) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
+    let warm = client::request("optimize", Some(FIG7), "origin");
+    let mut c = client::Client::connect(addr, Duration::from_secs(60)).unwrap();
+    let first = c.roundtrip_raw(&warm.render_compact()).unwrap();
+    let want = Json::parse(&first).unwrap().get("result").cloned().expect("a result");
+
+    // ~2.5 KB replies to ~0.3 KB requests: ~10 MB back, more than the
+    // socket buffers hold, for ~1.3 MB out.
+    const N: u64 = 4096;
+    let lines: Vec<String> = (0..N).map(|i| client::with_id(&warm, i).render_compact()).collect();
+    let mut p = Pipeline::connect(addr, Duration::from_secs(60)).unwrap();
+    p.send_batch(&lines).unwrap();
+    // Read late, so the replies pile up against the socket first.
+    std::thread::sleep(Duration::from_millis(500));
+    let by_id = p.drain().unwrap();
+    assert_eq!(by_id.len() as u64, N, "every id answered exactly once");
+    for (i, resp) in &by_id {
+        assert_eq!(resp.get("cached"), Some(&Json::Bool(true)), "id {i}: {resp:?}");
+        assert_eq!(resp.get("result"), Some(&want), "id {i}: a reply was cut or mixed");
+    }
+    let m = handle.metrics();
+    let answered = m.loop_answers_total.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(answered > 0, "no hit was answered on the event loop");
+    assert_eq!(handle.cache().stats().hits, N, "one result hit per request");
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
+
+/// Hits (answered on the loop) and misses (answered by workers, later)
+/// interleaved on one connection: completion order differs from send
+/// order, and the id echo still pairs every reply with its request.
+#[test]
+fn a_mixed_burst_of_hits_and_misses_pairs_every_id() {
+    let (addr, handle, thread) =
+        spawn(Config { workers: 2, ..Config::default() }).expect("server came up");
+    let mut c = client::Client::connect(addr, Duration::from_secs(60)).unwrap();
+    for program in [SUM, FIG7] {
+        c.analyze("report", program, "origin").unwrap();
+    }
+    // Even ids repeat the two warm reports; odd ids are misses, each a
+    // program of its own.
+    let sized = |n: u64| SAXPY.replace("512", &(512 + n).to_string());
+    let programs: Vec<String> = (0..24u64)
+        .map(|i| if i % 2 == 0 { [SUM, FIG7][(i / 2 % 2) as usize].to_string() } else { sized(i) })
+        .collect();
+    let lines: Vec<String> = programs
+        .iter()
+        .enumerate()
+        .map(|(i, prog)| {
+            let req = client::request("report", Some(prog), "origin");
+            client::with_id(&req, i as u64).render_compact()
+        })
+        .collect();
+    let mut p = Pipeline::connect(addr, Duration::from_secs(60)).unwrap();
+    p.send_batch(&lines).unwrap();
+    let by_id = p.drain().unwrap();
+    assert_eq!(by_id.len(), 24, "every id answered exactly once");
+    for (i, resp) in &by_id {
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "id {i}: {resp:?}");
+        let hit = i % 2 == 0;
+        assert_eq!(resp.get("cached"), Some(&Json::Bool(hit)), "id {i}: {resp:?}");
+        let text = resp.get("result").and_then(|r| r.get("text")).and_then(Json::as_str).unwrap();
+        let name = if hit { ["sum", "fig7"][(i / 2 % 2) as usize] } else { "saxpy" };
+        assert!(text.contains(&format!("program {name} on ")), "id {i} paired wrongly:\n{text}");
+        if !hit {
+            let arrays = format!("{}", 512 + i);
+            assert!(programs[*i as usize].contains(&arrays));
+        }
+    }
+    let stats = handle.cache().stats();
+    assert_eq!((stats.hits, stats.misses), (12, 14), "{stats:?}");
+    let answered = handle.metrics().loop_answers_total.load(std::sync::atomic::Ordering::Relaxed);
+    assert!((1..=12).contains(&answered), "{answered} loop answers for 12 hits");
+
+    handle.shutdown();
+    thread.join().unwrap();
+}

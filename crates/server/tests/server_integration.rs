@@ -315,3 +315,50 @@ fn idle_timeout_shuts_the_server_down_on_its_own() {
     drop(c);
     thread.join().unwrap(); // returns without any shutdown request
 }
+
+/// Eviction at a tiny cache: 8 KiB of results (about three `optimize`
+/// answers) and one source-memo entry per KiB (eight), one shard each.
+/// Four times the memo's capacity in distinct programs leaves exactly the
+/// newest eight memo entries; a repeat of the newest is a plain hit,
+/// answered on the event loop, and a repeat of the oldest memo entry —
+/// whose result is long evicted — costs exactly one memo hit and one
+/// result miss.
+#[test]
+fn a_tiny_cache_evicts_oldest_first_and_counts_exactly() {
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, cache_bytes: 8 << 10, ..Config::default() })
+            .expect("server came up");
+    let program = |n: usize| FIG7.replace("512", &(512 + n).to_string());
+    let mut c = connect(addr);
+    for n in 0..32 {
+        let resp = c.analyze("optimize", &program(n), "origin").unwrap();
+        assert_eq!(resp.get("cached"), Some(&Json::Bool(false)), "program {n}: {resp:?}");
+    }
+    let results = handle.cache().stats();
+    assert_eq!((results.hits, results.misses), (0, 32), "{results:?}");
+    assert!(results.entries < 8, "results must be evicted before memo entries: {results:?}");
+
+    // A fresh connection: on `c`, the worker that wrote the last answer
+    // may still hold the writer, and the loop then defers the hit.
+    let newest = connect(addr).analyze("optimize", &program(31), "origin").unwrap();
+    assert_eq!(newest.get("cached"), Some(&Json::Bool(true)), "{newest:?}");
+    let oldest_memo = c.analyze("optimize", &program(24), "origin").unwrap();
+    assert_eq!(oldest_memo.get("cached"), Some(&Json::Bool(false)), "{oldest_memo:?}");
+
+    let results = handle.cache().stats();
+    assert_eq!((results.hits, results.misses), (1, 33), "{results:?}");
+    let text = c.metrics_text().unwrap();
+    for family in [
+        "mbb_serve_source_memo_hits_total 2\n",
+        "mbb_serve_source_memo_misses_total 32\n",
+        "mbb_serve_source_memo_entries 8\n",
+        "mbb_serve_loop_answers_total 1\n",
+        "mbb_serve_requests_total{kind=\"optimize\"} 34\n",
+        "mbb_serve_route_total{dest=\"local\"} 34\n",
+    ] {
+        assert!(text.contains(family), "missing {family:?} in:\n{text}");
+    }
+
+    handle.shutdown();
+    thread.join().unwrap();
+}
