@@ -245,52 +245,20 @@ pub fn cmd_optimize_search_profiled(
 
 /// The `optimize --pipeline SPEC` command: replay an explicit
 /// transformation sequence (e.g. the `winning sequence:` a search
-/// printed), verify equivalence, and report the balance change.  Returns
-/// `(report, optimized_source)`.
+/// printed) through [`analysis::optimize_replay`].  Returns `(report,
+/// optimized_source)`.
 pub fn cmd_optimize_pipeline(
     src: &str,
     opts: &Options,
     spec: &str,
 ) -> Result<(String, String), ServeError> {
     let p = load(src)?;
-    let cand = mbb_search::Candidate::parse(spec)
+    let cand = mbb_core::spec::Candidate::parse(spec)
         .map_err(|e| ServeError::new(ErrorKind::BadRequest, format!("bad --pipeline spec: {e}")))?;
     let meter = mbb_obs::Meter::start();
-    let _budget = opts.budget.install();
-    let _engine = mbb_ir::runs::install(opts.engine);
-    let budget_err = |e: String| {
-        let kind =
-            if mbb_ir::budget::exhausted() { ErrorKind::DeadlineExceeded } else { ErrorKind::Run };
-        ServeError::new(kind, e)
-    };
-    let before = mbb_core::balance::measure_program_balance(&p, &opts.machine)
-        .map_err(|e| budget_err(e.to_string()))?;
-    let q = cand
-        .apply(&p)
-        .map_err(|e| ServeError::new(ErrorKind::Run, format!("pipeline spec failed: {e}")))?;
-    mbb_core::pipeline::verify_equivalent(&p, &q, 1e-9)
-        .map_err(|d| budget_err(format!("replayed pipeline changed behaviour: {d}")))?;
-    let after = mbb_core::balance::measure_program_balance(&q, &opts.machine)
-        .map_err(|e| budget_err(e.to_string()))?;
-    let sim = meter.finish();
-    let mut out = String::new();
-    let _ = writeln!(out, "program {} on {}", p.name, opts.machine.name);
-    let _ = writeln!(out, "  pipeline:         {}", cand.spec());
-    let _ = writeln!(
-        out,
-        "  memory traffic:   {} -> {} bytes",
-        before.report.mem_bytes(),
-        after.report.mem_bytes()
-    );
-    let _ = writeln!(
-        out,
-        "  memory balance:   {:.2} -> {:.2} bytes/flop",
-        before.memory(),
-        after.memory()
-    );
-    let _ = writeln!(out, "  equivalence:      verified (interpreted both versions)");
-    let _ = writeln!(out, "  simulation: {}", sim.summary());
-    Ok((out, mbb_ir::pretty::program(&q)))
+    let (mut out, optimized) = analysis::optimize_replay(&p, opts, &cand)?;
+    let _ = writeln!(out, "  simulation: {}", meter.finish().summary());
+    Ok((out, optimized))
 }
 
 /// The `optimize` command; returns `(report, optimized_source)`.

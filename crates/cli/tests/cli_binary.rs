@@ -255,3 +255,24 @@ fn optimize_emit_round_trips() {
     assert!(stdout.contains("for i = 0, 63"), "{stdout}");
     let _ = std::fs::remove_file(p);
 }
+
+#[test]
+fn pipeline_replay_refusals_exit_with_their_kind() {
+    let p = write_temp("replay");
+    let file = p.to_str().unwrap();
+    // (args, exit code, stderr fragment)
+    let cases: [(&[&str], i32, &str); 5] = [
+        (&["optimize", file, "--pipeline", "frob"], 2, "bad --pipeline spec"),
+        (&["optimize", file, "--pipeline", "interchange=9:1.0"], 1, "pipeline spec failed"),
+        (&["optimize", file, "--search", "--pipeline", "shrink"], 2, "mutually exclusive"),
+        (&["optimize", file, "--pipeline", "shrink", "--profile"], 2, "--pipeline"),
+        (&["report", file, "--pipeline", "shrink"], 2, "only apply to `optimize`"),
+    ];
+    for (args, code, fragment) in cases {
+        let out = mbbc().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(fragment), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(p);
+}

@@ -85,8 +85,12 @@ pub struct Partitioning {
 }
 
 impl Partitioning {
-    /// The single-group partitioning (fuse everything).
+    /// The single-group partitioning (fuse everything); no groups when
+    /// there are no nests.
     pub fn all_fused(n: usize) -> Self {
+        if n == 0 {
+            return Partitioning { groups: Vec::new() };
+        }
         Partitioning { groups: vec![(0..n).collect()] }
     }
 
@@ -243,7 +247,11 @@ fn exhaustive_best(
     cost: impl Fn(&FusionGraph, &Partitioning) -> u64,
 ) -> (Partitioning, u64) {
     assert!(graph.n <= 12, "exhaustive search is exponential; too many nests");
-    assert!(graph.n >= 1, "empty program");
+    if graph.n == 0 {
+        let none = Partitioning::unfused(0);
+        let c = cost(graph, &none);
+        return (none, c);
+    }
     let mut assign = vec![0usize; graph.n];
     let mut best: Option<(Partitioning, u64)> = None;
 
@@ -412,7 +420,7 @@ pub fn greedy_fusion(graph: &FusionGraph) -> Partitioning {
 /// Terminates after at most one bisection per preventing pair.
 pub fn recursive_bisection_fusion(graph: &FusionGraph) -> Partitioning {
     // Start fully fused; split until every preventing pair is separated.
-    let mut groups: Vec<Vec<usize>> = vec![(0..graph.n).collect()];
+    let mut groups = Partitioning::all_fused(graph.n).groups;
     let preventing: Vec<(usize, usize)> = graph.preventing.iter().copied().collect();
     while let Some((&(s, t), gi)) = preventing.iter().find_map(|p| {
         groups.iter().position(|g| g.contains(&p.0) && g.contains(&p.1)).map(|gi| (p, gi))

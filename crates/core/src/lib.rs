@@ -20,8 +20,11 @@
 //! * [`stores`] — store elimination: removal of memory writebacks whose
 //!   values are consumed in-iteration and never needed again, §3.3 /
 //!   Figures 7–8;
+//! * [`spec`] — the one transformation language: a [`spec::Move`]
+//!   sequence with a replayable text form, applied move by move;
 //! * [`pipeline`] — the complete compiler strategy (fuse → shrink/peel →
-//!   eliminate stores) with dynamic equivalence verification.
+//!   eliminate stores) as the spec it builds and applies, with dynamic
+//!   equivalence verification.
 //!
 //! It is also the home of the content-addressing every cache above it
 //! shares: [`canon`] builds the keys (and holds the workspace's one hash
@@ -41,6 +44,7 @@ pub mod mutate;
 pub mod pipeline;
 pub mod profile;
 pub mod regroup;
+pub mod spec;
 pub mod storage;
 pub mod stores;
 pub mod transform;

@@ -4,10 +4,12 @@
 //! This is the §3 pipeline as a single call: bandwidth-minimal fusion
 //! localises array live ranges, storage reduction collapses localised
 //! arrays to buffers or registers, and store elimination removes the
-//! remaining writebacks.  Every stage is semantics-preserving by
-//! construction; [`verify_equivalent`] additionally *executes* both
-//! programs and compares observations, which the test-suite does for every
-//! workload.
+//! remaining writebacks.  [`optimize`] picks each move from its options,
+//! applies it through [`crate::spec::apply_move`] and returns the
+//! [`Candidate`] it applied, so the fixed strategy is a spec like any
+//! other.  Every stage is semantics-preserving by construction;
+//! [`verify_equivalent`] additionally *executes* both programs and
+//! compares observations, which the test-suite does for every workload.
 
 use mbb_ir::interp;
 use mbb_ir::program::Program;
@@ -15,11 +17,12 @@ use mbb_ir::program::Program;
 use crate::distribute::distribute_all;
 use crate::expand::expand_scalar;
 use crate::fusion::{
-    build_fusion_graph, check_legal, greedy_fusion, total_distinct_arrays, Partitioning,
+    build_fusion_graph, exhaustive_min_bandwidth, greedy_fusion, recursive_bisection_fusion,
+    total_distinct_arrays, Partitioning,
 };
-use crate::storage::{shrink_storage, ShrinkAction};
-use crate::stores::{eliminate_all_stores, StoreElimination};
-use crate::transform::fuse_nests;
+use crate::spec::{apply_move, ApplyError, Candidate, Move};
+use crate::storage::ShrinkAction;
+use crate::stores::StoreElimination;
 
 /// Which fusion strategy the pipeline uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -92,6 +95,9 @@ pub fn normalize(prog: &Program) -> Program {
 pub struct OptimizeOutcome {
     /// The optimised program.
     pub program: Program,
+    /// The moves applied, in order: replaying this spec on the input
+    /// program gives [`OptimizeOutcome::program`].
+    pub candidate: Candidate,
     /// The partitioning fusion applied (if fusion ran).
     pub partitioning: Option<Partitioning>,
     /// The paper's fusion objective before and after (total distinct
@@ -135,66 +141,66 @@ pub struct OptimizeOutcome {
 /// assert_eq!(out.store_eliminations.len(), 1);  // res never written back
 /// ```
 pub fn optimize(prog: &Program, opts: OptimizeOptions) -> OptimizeOutcome {
-    let storage_before = prog.storage_bytes();
-    let normalized;
-    let prog = if opts.normalize {
-        let _s = mbb_obs::span!("normalize");
-        normalized = normalize(prog);
-        &normalized
-    } else {
-        prog
+    let mut cur = prog.clone();
+    let mut candidate = Candidate::identity();
+    let (mut shrink_actions, mut store_eliminations) = (Vec::new(), Vec::new());
+    // Applies a move the options chose, appends it to the spec and keeps
+    // its reports.
+    let mut apply = |cur: &mut Program, mv: Move| -> Result<(), ApplyError> {
+        let applied = apply_move(cur, &mv)?;
+        *cur = applied.program;
+        shrink_actions.extend(applied.shrink_actions);
+        store_eliminations.extend(applied.store_eliminations);
+        candidate.moves.push(mv);
+        Ok(())
     };
-    let graph = build_fusion_graph(prog);
+    if opts.normalize {
+        let _s = mbb_obs::span!("normalize");
+        apply(&mut cur, Move::Normalize).expect("normalisation always applies");
+    }
+    let graph = build_fusion_graph(&cur);
     let unfused_cost = total_distinct_arrays(&graph, &Partitioning::unfused(graph.n));
 
-    let (mut cur, partitioning, fused_cost) = match opts.fusion {
-        FusionStrategy::None => (prog.clone(), None, unfused_cost),
+    let (partitioning, fused_cost) = match opts.fusion {
+        FusionStrategy::None => (None, unfused_cost),
         strategy => {
             let _s = mbb_obs::span!("fuse");
             let p = match strategy {
                 FusionStrategy::Greedy => greedy_fusion(&graph),
-                FusionStrategy::Bisection => crate::fusion::recursive_bisection_fusion(&graph),
-                FusionStrategy::Exhaustive => crate::fusion::exhaustive_min_bandwidth(&graph).0,
+                FusionStrategy::Bisection => recursive_bisection_fusion(&graph),
+                FusionStrategy::Exhaustive => exhaustive_min_bandwidth(&graph).0,
                 FusionStrategy::None => unreachable!(),
             };
-            debug_assert!(check_legal(&graph, &p).is_ok());
             let cost = total_distinct_arrays(&graph, &p);
-            match fuse_nests(prog, &p.groups) {
-                Ok(fused) => (fused, Some(p), cost),
-                // A partitioning the graph model accepts can still be
-                // rejected by the stricter IR-level checks; fall back.
-                Err(_) => (prog.clone(), None, unfused_cost),
+            // A program without nests gets its empty partition reported but
+            // no move.  A partitioning the graph model accepts can still be
+            // rejected by the stricter IR-level checks; then nothing fuses.
+            if p.groups.is_empty() || apply(&mut cur, Move::Fuse(p.groups.clone())).is_ok() {
+                (Some(p), cost)
+            } else {
+                (None, unfused_cost)
             }
         }
     };
-
-    let shrink_actions = if opts.shrink {
+    if opts.shrink {
         let _s = mbb_obs::span!("shrink");
-        let (next, actions) = shrink_storage(&cur);
-        cur = next;
-        actions
-    } else {
-        Vec::new()
-    };
-
-    let store_eliminations = if opts.eliminate_stores {
+        apply(&mut cur, Move::Shrink).expect("shrinking always applies");
+    }
+    if opts.eliminate_stores {
         let _s = mbb_obs::span!("store-elim");
-        let (next, reports) = eliminate_all_stores(&cur);
-        cur = next;
-        reports
-    } else {
-        Vec::new()
-    };
+        apply(&mut cur, Move::StoreElim).expect("store elimination always applies");
+    }
 
     OptimizeOutcome {
         storage_after: cur.storage_bytes(),
         program: cur,
+        candidate,
         partitioning,
         arrays_cost_before: unfused_cost,
         arrays_cost_after: fused_cost,
         shrink_actions,
         store_eliminations,
-        storage_before,
+        storage_before: prog.storage_bytes(),
     }
 }
 

@@ -38,11 +38,6 @@ impl Score {
     pub fn memory(&self) -> f64 {
         *self.bytes_per_flop.last().unwrap_or(&0.0)
     }
-
-    /// The memory-channel traffic (the deterministic tie-breaker).
-    pub fn memory_bytes(&self) -> u64 {
-        *self.channel_bytes.last().unwrap_or(&0)
-    }
 }
 
 /// The process-wide or per-search score cache.

@@ -46,14 +46,14 @@ use mbb_core::fusion::{
     recursive_bisection_fusion, total_distinct_arrays, FusionGraph, Partitioning,
 };
 use mbb_core::mutate::{self, Mutation};
-use mbb_core::pipeline::{FusionStrategy, OptimizeOptions};
+use mbb_core::pipeline::{self, OptimizeOptions};
+use mbb_core::spec::{apply_move, Candidate, Move};
 use mbb_ir::runs::{self, Engine};
 use mbb_ir::Program;
 use mbb_memsim::hierarchy::TrafficReport;
 use mbb_memsim::machine::MachineModel;
 
 use crate::cache::{Score, ScoreCache};
-use crate::candidate::{apply_move, Candidate, Move};
 
 /// The cache-key kind of score entries (see [`mbb_core::canon::cache_key`]).
 pub const SCORE_KIND: &str = "search-score";
@@ -217,37 +217,6 @@ fn view_cmp(a: &ScoreView, b: &ScoreView) -> Ordering {
 
 fn state_cmp(a: &State, b: &State) -> Ordering {
     view_cmp(&a.view, &b.view).then_with(|| a.tie.cmp(&b.tie)).then_with(|| a.spec.cmp(&b.spec))
-}
-
-/// Reconstructs the fixed pipeline as a replayable [`Candidate`],
-/// including the pipeline's fall-back-to-unfused behaviour when the IR
-/// rejects a graph-legal partitioning.
-pub fn fixed_candidate(prog: &Program, opts: &OptimizeOptions) -> Candidate {
-    let mut moves = Vec::new();
-    let mut cur = prog.clone();
-    if opts.normalize {
-        cur = mbb_core::pipeline::normalize(&cur);
-        moves.push(Move::Normalize);
-    }
-    if opts.fusion != FusionStrategy::None && !cur.nests.is_empty() {
-        let graph = build_fusion_graph(&cur);
-        let p = match opts.fusion {
-            FusionStrategy::Greedy => greedy_fusion(&graph),
-            FusionStrategy::Bisection => recursive_bisection_fusion(&graph),
-            FusionStrategy::Exhaustive => exhaustive_min_bandwidth(&graph).0,
-            FusionStrategy::None => unreachable!(),
-        };
-        if mbb_core::fusion::apply(&cur, &p).is_ok() {
-            moves.push(Move::Fuse(p.groups));
-        }
-    }
-    if opts.shrink {
-        moves.push(Move::Shrink);
-    }
-    if opts.eliminate_stores {
-        moves.push(Move::StoreElim);
-    }
-    Candidate { moves }
 }
 
 /// All permutations of `0..n`, in a fixed deterministic order.
@@ -505,12 +474,10 @@ pub fn search_with_cache(
     seen.insert(init_key);
     let init = mk_state(Candidate::identity(), prog.clone(), init_key, &mut trace)?;
 
-    // ...and the fixed pipeline is seeded fully formed, so the winner can
-    // never score worse than it.
-    let fixed_cand = fixed_candidate(prog, &opts.pipeline);
-    let fixed_prog = fixed_cand
-        .apply(prog)
-        .map_err(|e| SearchError(format!("fixed pipeline candidate failed to apply: {e}")))?;
+    // ...and the fixed pipeline is seeded fully formed, as the spec it
+    // applied, so the winner can never score worse than it.
+    let fixed_out = pipeline::optimize(prog, opts.pipeline);
+    let (fixed_cand, fixed_prog) = (fixed_out.candidate, fixed_out.program);
     trace.fixed_spec = fixed_cand.spec();
     let fixed_key = key_of(&fixed_prog);
     let fixed = if seen.insert(fixed_key) {
@@ -542,7 +509,7 @@ pub fn search_with_cache(
             for mv in expand_moves(state, beam_width, &mut trace) {
                 charge()?;
                 let next_prog = match apply_move(&state.prog, &mv) {
-                    Ok(p) => p,
+                    Ok(a) => a.program,
                     Err(_) => {
                         trace.pruned += 1;
                         continue;
@@ -598,7 +565,7 @@ fn clone_state(s: &State) -> State {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbb_core::pipeline::{optimize, verify_equivalent};
+    use mbb_core::pipeline::verify_equivalent;
     use mbb_ir::budget::Budget;
     use mbb_ir::builder::*;
     use std::time::Duration;
@@ -668,16 +635,6 @@ mod tests {
         assert_eq!(c.trace.pruned, d.trace.pruned);
         assert!(d.trace.cache_hits > c.trace.cache_hits);
         assert_eq!(canon::program(&c.program), canon::program(&d.program));
-    }
-
-    #[test]
-    fn fixed_candidate_reproduces_the_pipeline() {
-        let p = chain();
-        let popts = OptimizeOptions::default();
-        let cand = fixed_candidate(&p, &popts);
-        let via_candidate = cand.apply(&p).unwrap();
-        let via_pipeline = optimize(&p, popts).program;
-        assert_eq!(canon::program(&via_candidate), canon::program(&via_pipeline));
     }
 
     #[test]

@@ -12,21 +12,20 @@
 //! [`mbb_ir::budget`], and memoised in a sharded single-flight score
 //! cache that concurrent searches share.
 //!
-//! * [`candidate`] — [`candidate::Move`] / [`candidate::Candidate`]: the
-//!   sequence representation and its replayable spec grammar;
 //! * [`cache`] — [`cache::ScoreCache`]: content-addressed scores keyed
 //!   through [`mbb_core::canon`], honest-measurements-only;
 //! * [`engine`] — [`engine::search`]: the beam search itself, seeded
-//!   with the fixed pipeline so it is never worse by construction, and
-//!   returning a reproducible [`engine::SearchTrace`].
+//!   with the spec the fixed pipeline applied so it is never worse by
+//!   construction, and returning a reproducible [`engine::SearchTrace`].
+//!
+//! Candidates are sequences of moves in [`mbb_core::spec`], the one
+//! transformation language the pipeline, the search and the
+//! `--pipeline` replay share.
 
 pub mod cache;
-pub mod candidate;
 pub mod engine;
 
 pub use cache::{Score, ScoreCache};
-pub use candidate::{Candidate, Move};
 pub use engine::{
-    fixed_candidate, search, search_with_cache, ScoreView, SearchError, SearchOptions,
-    SearchOutcome, SearchTrace,
+    search, search_with_cache, ScoreView, SearchError, SearchOptions, SearchOutcome, SearchTrace,
 };

@@ -12,7 +12,8 @@ use std::fmt::Write as _;
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
 use mbb_core::balance::{measure_program_balance, ratios, ProgramBalance};
 use mbb_core::pipeline::{optimize as run_pipeline, verify_equivalent, OptimizeOptions};
-use mbb_core::regroup::regroup_all;
+use mbb_core::regroup::{regroup_all, RegroupAction};
+use mbb_core::spec::Candidate;
 use mbb_ir::budget::Budget;
 use mbb_ir::{parse, pretty, Program};
 use mbb_memsim::machine::MachineModel;
@@ -348,6 +349,67 @@ fn advise_inner(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
     Ok(Analysis::new(a.to_string(), data))
 }
 
+/// What the shared optimize path measured and produced.
+struct Verified<T> {
+    /// The front-end's own report of its transformation.
+    report: T,
+    /// The transformed (and, when asked, regrouped) program.
+    program: Program,
+    regrouped: Vec<RegroupAction>,
+    before: (Prediction, ProgramBalance),
+    after: (Prediction, ProgramBalance),
+}
+
+/// The one path every optimize front-end shares: install the budget and
+/// engine, measure the input, transform it, regroup when asked, check the
+/// deadline, verify equivalence and measure the result.  `transform` is
+/// the front-end's choice of program, returned with its own report.
+fn verified<T>(
+    p: &Program,
+    opts: &Options,
+    transform: impl FnOnce() -> Result<(Program, T), ServeError>,
+) -> Result<Verified<T>, ServeError> {
+    let _budget = opts.budget.install();
+    let _engine = mbb_ir::runs::install(opts.engine);
+    // Phase spans: `nest_table_under(profile, "before"/"after")` pulls the
+    // per-nest tables out of these two measurement phases; the transform
+    // opens its own stage spans inside.
+    let before = {
+        let _s = mbb_obs::span!("before");
+        measured(p, opts)?
+    };
+    check_deadline()?;
+    let (mut program, report) = transform()?;
+    let mut regrouped = Vec::new();
+    if opts.regroup {
+        (program, regrouped) = regroup_all(&program);
+    }
+    check_deadline()?;
+    verify_equivalent(p, &program, 1e-9)
+        .map_err(|d| run_error(format!("internal error: transformation changed behaviour: {d}")))?;
+    let after = {
+        let _s = mbb_obs::span!("after");
+        measured(&program, opts)?
+    };
+    Ok(Verified { report, program, regrouped, before, after })
+}
+
+/// The `regrouped:` report lines every optimize front-end prints.
+fn regrouped_text(out: &mut String, actions: &[RegroupAction]) {
+    for a in actions {
+        let _ = writeln!(out, "  regrouped: {{{}}} -> `{}`", a.members.join(", "), a.grouped);
+    }
+}
+
+fn regrouped_json(actions: &[RegroupAction]) -> Json {
+    Json::arr(actions.iter().map(|a| {
+        Json::obj([
+            ("members", Json::arr(a.members.iter().map(|m| Json::str(m.clone())))),
+            ("grouped", Json::str(a.grouped.clone())),
+        ])
+    }))
+}
+
 /// The `optimize` analysis; returns the report and the optimised source
 /// (itself parseable) separately, so the CLI can honour `--emit`.
 pub fn optimize(p: &Program, opts: &Options) -> Result<(Analysis, String), ServeError> {
@@ -355,38 +417,13 @@ pub fn optimize(p: &Program, opts: &Options) -> Result<(Analysis, String), Serve
 }
 
 fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), ServeError> {
-    let _budget = opts.budget.install();
-    let _engine = mbb_ir::runs::install(opts.engine);
-    // Phase spans: `nest_table_under(profile, "before"/"after")` pulls the
-    // per-nest tables out of these two measurement phases; the pipeline
-    // opens its own stage spans (fuse/shrink/store-elim/verify) inside.
-    let (before_t, before_b) = {
-        let _s = mbb_obs::span!("before");
-        measured(p, opts)?
-    };
-
-    check_deadline()?;
-    let mut outcome = {
+    let v = verified(p, opts, || {
         let _s = mbb_obs::span!("pipeline");
-        run_pipeline(p, opts.pipeline)
-    };
-    let mut regroup_actions = Vec::new();
-    if opts.regroup {
-        let (next, actions) = regroup_all(&outcome.program);
-        outcome.program = next;
-        regroup_actions = actions;
-    }
-    check_deadline()?;
-    verify_equivalent(p, &outcome.program, 1e-9).map_err(|d| {
-        let kind =
-            if mbb_ir::budget::exhausted() { ErrorKind::DeadlineExceeded } else { ErrorKind::Run };
-        ServeError::new(kind, format!("internal error: transformation changed behaviour: {d}"))
+        let outcome = run_pipeline(p, opts.pipeline);
+        Ok((outcome.program.clone(), outcome))
     })?;
-
-    let (after_t, after_b) = {
-        let _s = mbb_obs::span!("after");
-        measured(&outcome.program, opts)?
-    };
+    let Verified { report: outcome, program, regrouped, before: (before_t, before_b), after } = v;
+    let (after_t, after_b) = after;
 
     let mut out = String::new();
     let _ = writeln!(out, "program {} on {}", p.name, opts.machine.name);
@@ -410,9 +447,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
             s.array, s.stores_removed
         );
     }
-    for a in &regroup_actions {
-        let _ = writeln!(out, "  regrouped: {{{}}} -> `{}`", a.members.join(", "), a.grouped);
-    }
+    regrouped_text(&mut out, &regrouped);
     let _ = writeln!(
         out,
         "  storage bytes:    {} -> {}",
@@ -439,7 +474,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
     );
     let _ = writeln!(out, "  equivalence:      verified (interpreted both versions)");
 
-    let optimized = pretty::program(&outcome.program);
+    let optimized = pretty::program(&program);
     let fusion = match &outcome.partitioning {
         Some(part) => Json::obj([
             ("nests_before", Json::UInt(p.nests.len() as u64)),
@@ -466,15 +501,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
                 ])
             })),
         ),
-        (
-            "regrouped",
-            Json::arr(regroup_actions.iter().map(|a| {
-                Json::obj([
-                    ("members", Json::arr(a.members.iter().map(|m| Json::str(m.clone())))),
-                    ("grouped", Json::str(a.grouped.clone())),
-                ])
-            })),
-        ),
+        ("regrouped", regrouped_json(&regrouped)),
         (
             "storage_bytes",
             Json::obj([
@@ -550,45 +577,23 @@ fn optimize_search_inner(
     opts: &Options,
     sp: &SearchParams,
 ) -> Result<(Analysis, String), ServeError> {
-    let _budget = opts.budget.install();
-    let _engine = mbb_ir::runs::install(opts.engine);
-    let (before_t, before_b) = {
-        let _s = mbb_obs::span!("before");
-        measured(p, opts)?
-    };
-
-    check_deadline()?;
     // The search scores through the runs engine internally (its `search`
     // and `score:<spec>` spans land in the profile); the surrounding
-    // measurements and the verification below honour `opts.engine`.
-    let sopts = mbb_search::SearchOptions {
-        machine: opts.machine.clone(),
-        beam: sp.beam,
-        steps: sp.steps,
-        seed: sp.seed,
-        pipeline: opts.pipeline,
-        scorer_mutation: None,
-    };
-    let out = mbb_search::search(p, &sopts).map_err(run_error)?;
-
-    let mut program = out.program.clone();
-    let mut regroup_actions = Vec::new();
-    if opts.regroup {
-        let (next, actions) = regroup_all(&program);
-        program = next;
-        regroup_actions = actions;
-    }
-    check_deadline()?;
-    verify_equivalent(p, &program, 1e-9).map_err(|d| {
-        let kind =
-            if mbb_ir::budget::exhausted() { ErrorKind::DeadlineExceeded } else { ErrorKind::Run };
-        ServeError::new(kind, format!("internal error: transformation changed behaviour: {d}"))
+    // measurements and the verification honour `opts.engine`.
+    let v = verified(p, opts, || {
+        let sopts = mbb_search::SearchOptions {
+            machine: opts.machine.clone(),
+            beam: sp.beam,
+            steps: sp.steps,
+            seed: sp.seed,
+            pipeline: opts.pipeline,
+            scorer_mutation: None,
+        };
+        let out = mbb_search::search(p, &sopts).map_err(run_error)?;
+        Ok((out.program.clone(), out))
     })?;
-
-    let (after_t, after_b) = {
-        let _s = mbb_obs::span!("after");
-        measured(&program, opts)?
-    };
+    let Verified { report: out, program, regrouped, before: (before_t, before_b), after } = v;
+    let (after_t, after_b) = after;
 
     let t = &out.trace;
     let mut text = String::new();
@@ -614,9 +619,7 @@ fn optimize_search_inner(
         before_b.report.mem_bytes(),
         after_b.report.mem_bytes()
     );
-    for a in &regroup_actions {
-        let _ = writeln!(text, "  regrouped: {{{}}} -> `{}`", a.members.join(", "), a.grouped);
-    }
+    regrouped_text(&mut text, &regrouped);
     let _ = writeln!(
         text,
         "  predicted time:   {:.4} s -> {:.4} s ({:.2}× speedup)",
@@ -664,15 +667,7 @@ fn optimize_search_inner(
                 ("after", Json::UInt(after_b.report.mem_bytes())),
             ]),
         ),
-        (
-            "regrouped",
-            Json::arr(regroup_actions.iter().map(|a| {
-                Json::obj([
-                    ("members", Json::arr(a.members.iter().map(|m| Json::str(m.clone())))),
-                    ("grouped", Json::str(a.grouped.clone())),
-                ])
-            })),
-        ),
+        ("regrouped", regrouped_json(&regrouped)),
         (
             "predicted_time_s",
             Json::obj([
@@ -684,6 +679,42 @@ fn optimize_search_inner(
         ("optimized_program", Json::str(optimized.clone())),
     ]);
     Ok((Analysis::new(text, data), optimized))
+}
+
+/// The `optimize --pipeline SPEC` analysis: replays an explicit
+/// transformation sequence (e.g. the `winning sequence:` a search
+/// printed), verifies equivalence, and reports the balance change.
+/// Returns the report and the optimised source.
+pub fn optimize_replay(
+    p: &Program,
+    opts: &Options,
+    spec: &Candidate,
+) -> Result<(String, String), ServeError> {
+    let v = verified(p, opts, || {
+        let q = spec
+            .apply(p)
+            .map_err(|e| ServeError::new(ErrorKind::Run, format!("pipeline spec failed: {e}")))?;
+        Ok((q, ()))
+    })?;
+    let (before, after) = (&v.before.1, &v.after.1);
+    let mut out = String::new();
+    let _ = writeln!(out, "program {} on {}", p.name, opts.machine.name);
+    let _ = writeln!(out, "  pipeline:         {}", spec.spec());
+    regrouped_text(&mut out, &v.regrouped);
+    let _ = writeln!(
+        out,
+        "  memory traffic:   {} -> {} bytes",
+        before.report.mem_bytes(),
+        after.report.mem_bytes()
+    );
+    let _ = writeln!(
+        out,
+        "  memory balance:   {:.2} -> {:.2} bytes/flop",
+        before.memory(),
+        after.memory()
+    );
+    let _ = writeln!(out, "  equivalence:      verified (interpreted both versions)");
+    Ok((out, pretty::program(&v.program)))
 }
 
 /// The `trace-stats` analysis: execution counters plus the traffic the

@@ -8,19 +8,15 @@
 //! therefore produces the same fault schedule for the same sequence of
 //! draws — a failing chaos seed replays exactly.
 //!
-//! The whole module sits behind the `faults` cargo feature (a default
-//! feature of this crate).  With the feature off, the sites compile to
-//! nothing.  With it on but no plan installed, each site costs one
-//! relaxed atomic load — cheap enough to leave in integration builds.
+//! With no plan installed, each site costs one relaxed atomic load —
+//! cheap enough to leave in every build.
 //!
 //! Only one plan can be armed at a time, process-wide; [`install`]
 //! returns a guard that disarms on drop.  Per-site draw and fire counters
 //! let tests reconcile observed behaviour (e.g. the server's
 //! `mbb_serve_panics_total`) against the injected schedule.
 
-#[cfg(feature = "faults")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "faults")]
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -80,7 +76,6 @@ impl Site {
 }
 
 /// A seeded fault schedule: per-site firing rates out of 1024 draws.
-#[cfg(feature = "faults")]
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// Seed for the per-site decision streams.
@@ -89,7 +84,6 @@ pub struct FaultPlan {
     delay: Duration,
 }
 
-#[cfg(feature = "faults")]
 impl FaultPlan {
     /// A plan with the given seed and every rate zero (no faults fire
     /// until rates are set).
@@ -110,29 +104,24 @@ impl FaultPlan {
     }
 }
 
-#[cfg(feature = "faults")]
 struct Active {
     plan: FaultPlan,
     draws: [AtomicU64; Site::ALL.len()],
     fired: [AtomicU64; Site::ALL.len()],
 }
 
-#[cfg(feature = "faults")]
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-#[cfg(feature = "faults")]
 fn slot() -> &'static Mutex<Option<Arc<Active>>> {
     static SLOT: OnceLock<Mutex<Option<Arc<Active>>>> = OnceLock::new();
     SLOT.get_or_init(|| Mutex::new(None))
 }
 
 /// Disarms the installed plan when dropped.
-#[cfg(feature = "faults")]
 pub struct FaultGuard {
     _private: (),
 }
 
-#[cfg(feature = "faults")]
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         ARMED.store(false, Ordering::SeqCst);
@@ -146,7 +135,6 @@ impl Drop for FaultGuard {
 ///
 /// Panics if a plan is already armed: overlapping plans would make the
 /// draw streams nondeterministic, which defeats seed replay.
-#[cfg(feature = "faults")]
 pub fn install(plan: FaultPlan) -> FaultGuard {
     let mut s = slot().lock().unwrap_or_else(|p| p.into_inner());
     assert!(s.is_none(), "a FaultPlan is already installed");
@@ -155,7 +143,6 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
     FaultGuard { _private: () }
 }
 
-#[cfg(feature = "faults")]
 fn active() -> Option<Arc<Active>> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
@@ -165,7 +152,6 @@ fn active() -> Option<Arc<Active>> {
 
 /// Draws at `site`; true when the installed plan says this pass faults.
 /// Unarmed, this is one relaxed atomic load and returns false.
-#[cfg(feature = "faults")]
 pub fn fire(site: Site) -> bool {
     let Some(a) = active() else { return false };
     let rate = a.plan.rates[site.index()];
@@ -183,33 +169,13 @@ pub fn fire(site: Site) -> bool {
 
 /// How many times `site` has fired under the installed plan (0 when no
 /// plan is armed).
-#[cfg(feature = "faults")]
 pub fn fired(site: Site) -> u64 {
     active().map(|a| a.fired[site.index()].load(Ordering::Relaxed)).unwrap_or(0)
 }
 
 /// The artificial delay to sleep when [`Site::HandlerDelay`] fires.
-#[cfg(feature = "faults")]
 pub fn handler_delay() -> Option<Duration> {
     active().map(|a| a.plan.delay)
-}
-
-/// With the `faults` feature off, no site ever fires.
-#[cfg(not(feature = "faults"))]
-pub fn fire(_site: Site) -> bool {
-    false
-}
-
-/// With the `faults` feature off, no site has ever fired.
-#[cfg(not(feature = "faults"))]
-pub fn fired(_site: Site) -> u64 {
-    0
-}
-
-/// With the `faults` feature off, there is never an artificial delay.
-#[cfg(not(feature = "faults"))]
-pub fn handler_delay() -> Option<Duration> {
-    None
 }
 
 /// The panic payload used by [`Site::HandlerPanic`]; tests match on this
@@ -223,7 +189,7 @@ pub const PANIC_PAYLOAD: &str = "injected fault: handler panic";
 #[cfg(test)]
 pub(crate) static TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
-#[cfg(all(test, feature = "faults"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -30,8 +30,8 @@
 //! (step quota + wall deadline, structured `deadline_exceeded` on
 //! overrun), handler panics are caught and answered with a structured
 //! `internal` error instead of killing the worker, and the [`faults`]
-//! module (behind the default `faults` feature) injects deterministic,
-//! seeded failures for the chaos test suite.
+//! module injects deterministic, seeded failures for the chaos test
+//! suite.
 //!
 //! [budget]: mbb_ir::budget
 

@@ -15,7 +15,7 @@
 //!   source-memo and result entries are both present, that no shed,
 //!   expiry, admission or degrade rule touches, that is not profiled and
 //!   whose key this node owns.  It runs the same stage functions as a
-//!   worker in lookup-only form ([`plain_hit`]), counts nothing until it
+//!   worker in lookup-only form (`plain_hit`), counts nothing until it
 //!   answers, and writes without blocking; a hit costs no queue hand-off
 //!   and no thread switch;
 //! * every other line becomes a job in a bounded queue, carrying the
@@ -42,10 +42,10 @@
 //! simulate once and return bit-identical bytes.  In front of it, a
 //! bounded *source memo* maps each raw request's content address to its
 //! result-cache key and admission estimate, so a byte-identical repeat
-//! skips parsing, validation and pretty-printing (see [`key_request`]).
+//! skips parsing, validation and pretty-printing (see `key_request`).
 //!
 //! A request passes through named stages, each with one home that both
-//! the worker path ([`respond`]) and the loop's attempt ([`plain_hit`])
+//! the worker path (`respond`) and the loop's attempt (`plain_hit`)
 //! call: decode, admin, shed, expire, key, admit, degrade, route,
 //! lookup/compute and encode.  The stages count nothing themselves; the
 //! worker path counts what it answers, and the loop defers anything it
@@ -1727,7 +1727,6 @@ mod tests {
         assert!(effective_budget(&none, RequestBudget::default()).is_unlimited());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_handler_panic_yields_internal_error_and_counts() {
         let _t = crate::faults::TEST_LOCK.write().unwrap_or_else(|p| p.into_inner());

@@ -128,7 +128,6 @@ fn health_kind_round_trips_on_a_quiet_server() {
 /// Time spent stalled in the accept queue counts against the request's
 /// wall deadline: the worker answers `deadline_exceeded` without running
 /// the analysis.  `Site::WorkerStall` makes the stall deterministic.
-#[cfg(feature = "faults")]
 #[test]
 fn queue_wait_counts_against_the_deadline() {
     use mbb_server::faults::{install, FaultPlan, Site};

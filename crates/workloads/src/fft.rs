@@ -130,15 +130,6 @@ pub fn fft_traced(n: usize, sink: &mut (impl AccessSink + ?Sized)) -> FftRun {
     FftRun { flops, re, im }
 }
 
-/// Measures the FFT's program balance on a machine (convenience wrapper
-/// for the Figure-1 harness).
-pub fn fft_balance(
-    n: usize,
-    machine: &mbb_memsim::machine::MachineModel,
-) -> mbb_core::balance::ProgramBalance {
-    mbb_core::balance::measure_native_balance("FFT", machine, |sink| fft_traced(n, sink).flops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

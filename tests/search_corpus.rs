@@ -51,7 +51,7 @@ fn search_is_equivalent_and_never_worse_on_every_corpus_program() {
             out.fixed_score.memory()
         );
         // The winning spec replays onto the winning program.
-        let cand = mbb_search::Candidate::parse(&out.trace.best_spec)
+        let cand = mbb::core::spec::Candidate::parse(&out.trace.best_spec)
             .unwrap_or_else(|e| panic!("{}: spec `{}`: {e}", path.display(), out.trace.best_spec));
         let replayed = cand
             .apply(&p)
