@@ -276,3 +276,43 @@ fn pipeline_replay_refusals_exit_with_their_kind() {
     }
     let _ = std::fs::remove_file(p);
 }
+
+#[test]
+fn trace_out_writes_one_track_named_by_the_kind() {
+    use mbb_obs::json::Json;
+    let p = write_temp("traceout");
+    let file = p.to_str().unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (&["report"], "report"),
+        (&["advise"], "advise"),
+        (&["trace-stats"], "trace-stats"),
+        (&["optimize"], "optimize"),
+        (&["optimize", "--search"], "optimize-search"),
+    ];
+    for (command, label) in cases {
+        let trace = std::env::temp_dir()
+            .join(format!("mbbc_test_trace_{label}_{}.json", std::process::id()));
+        let out = mbbc()
+            .args([command[0], file])
+            .args(&command[1..])
+            .args(["--trace-out", trace.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{command:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let doc = Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+            panic!("{command:?}: no traceEvents array");
+        };
+        let tracks: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
+            .map(|e| e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(tracks, [label], "{command:?}");
+        // Every span lands on that one track.
+        assert!(events.iter().all(|e| e.get("tid").and_then(Json::as_f64) == Some(1.0)));
+        assert!(events.len() > 1, "{command:?}: no spans recorded");
+        let _ = std::fs::remove_file(trace);
+    }
+    let _ = std::fs::remove_file(p);
+}

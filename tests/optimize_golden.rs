@@ -19,65 +19,12 @@
 //! The same programs check that the fixed pipeline is the spec it
 //! returns: replaying that spec reproduces the pipeline's program.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+mod common;
 
+use common::{assert_golden, programs, record, NO_NESTS};
 use mbb::core::pipeline::{optimize, FusionStrategy, OptimizeOptions};
 use mbb::core::spec::Candidate;
 use mbb_server::analysis::{self, Analysis, Options, SearchParams};
-use mbb_server::ServeError;
-
-const FIGURE7: &str = "\
-program figure7_n64
-  array res[64]
-  array data[64]
-  scalar sum = 0  // printed
-  for i = 0, 63
-    res[i] = (res[i] + data[i])
-  end for
-  for j = 0, 63
-    sum = (sum + res[j])
-  end for
-";
-
-const ONE_NEST: &str = "\
-program one_nest
-  array a[64]
-  array b[64]  // live-out
-  for i = 0, 63
-    b[i] = (a[i] * 2)
-  end for
-";
-
-const NO_NESTS: &str = "\
-program no_nests
-  array a[8]
-  scalar s = 1  // printed
-";
-
-/// Every program the test drives, as `(name, source)`, corpus first.
-fn programs() -> Vec<(String, String)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("tests/corpus exists")
-        .filter_map(|e| {
-            let p = e.ok()?.path();
-            (p.extension()? == "loop").then_some(p)
-        })
-        .collect();
-    files.sort();
-    let mut out: Vec<(String, String)> = files
-        .iter()
-        .map(|p| {
-            let name = format!("corpus/{}", p.file_name().unwrap().to_string_lossy());
-            (name, std::fs::read_to_string(p).unwrap())
-        })
-        .collect();
-    for (name, src) in [("figure7_n64", FIGURE7), ("one_nest", ONE_NEST), ("no_nests", NO_NESTS)] {
-        out.push((name.to_string(), src.to_string()));
-    }
-    out
-}
 
 /// The pipeline configurations `mbbc optimize` exposes, by their flags.
 fn pipeline_flags() -> Vec<(&'static str, OptimizeOptions)> {
@@ -93,17 +40,6 @@ fn pipeline_flags() -> Vec<(&'static str, OptimizeOptions)> {
             OptimizeOptions { shrink: false, eliminate_stores: false, ..d },
         ),
     ]
-}
-
-/// Appends one front-end's result under `title`.
-fn record(doc: &mut String, title: &str, result: Result<String, ServeError>) {
-    let _ = writeln!(doc, "=== {title}");
-    match result {
-        Ok(text) => doc.push_str(&text),
-        Err(e) => {
-            let _ = writeln!(doc, "error: {e}");
-        }
-    }
 }
 
 /// An analysis as the server serves it: the text, then the compact data.
@@ -157,25 +93,7 @@ fn document() -> String {
 
 #[test]
 fn optimize_front_ends_match_the_golden_document() {
-    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/optimize.txt");
-    let actual = document();
-    let expected = std::fs::read_to_string(&golden_path).unwrap_or_default();
-    if actual != expected {
-        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("optimize.txt");
-        std::fs::write(&out, &actual).unwrap();
-        let first = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, e)| a != e)
-            .unwrap_or(actual.lines().count().min(expected.lines().count()));
-        panic!(
-            "optimize output differs from {} at line {}; if the change is intended:\n  cp {} {}",
-            golden_path.display(),
-            first + 1,
-            out.display(),
-            golden_path.display()
-        );
-    }
+    assert_golden("optimize.txt", &document());
 }
 
 #[test]
