@@ -1,32 +1,22 @@
 //! The logic behind the `mbbc` command-line driver (kept in a library so
 //! the test-suite can drive it without spawning processes).
 //!
-//! The analysis commands — `report`, `advise`, `optimize`, `trace-stats`
-//! — delegate to [`mbb_server::analysis`], the same entry points the
-//! network service uses, so `mbbc` and `mbbc serve` can never disagree.
-//! This crate adds what is CLI-only: the nondeterministic `simulation:`
-//! timing line, the `run`/`trace`/`graph` commands, and exit-code
-//! classification via [`ServeError`] (parse 3, validate 4, I/O 5).
+//! The analysis commands — `report`, `advise`, `trace-stats`, `optimize`
+//! and `optimize --search` — are one function, [`cmd_analyze`], which
+//! runs [`analysis::run`], the dispatch the network service uses, so
+//! `mbbc` and `mbbc serve` can never disagree.  This crate adds what is
+//! CLI-only: the per-execution `simulation:` and `search cache:` lines,
+//! the rendered per-nest tables of `--profile`, the `--pipeline` replay,
+//! the `run`/`trace`/`graph` commands, and exit-code classification via
+//! [`ServeError`] (parse 3, validate 4, I/O 5).
 
 use std::fmt::Write as _;
 
 pub use mbb_server::analysis::{machine_by_name, Options, SearchParams};
 pub use mbb_server::error::{ErrorKind, ServeError};
+pub use mbb_server::protocol::Kind;
 
-use mbb_ir::Program;
-use mbb_server::analysis;
-
-/// Parses source text, surfacing errors with line numbers and
-/// classifying them for the exit code.
-pub fn load(src: &str) -> Result<Program, ServeError> {
-    analysis::load(src)
-}
-
-/// The `advise` command: the §4 bandwidth-tuning report.
-pub fn cmd_advise(src: &str, opts: &Options) -> Result<String, ServeError> {
-    let p = load(src)?;
-    Ok(analysis::advise(&p, opts)?.text)
-}
+use mbb_server::analysis::{self, load};
 
 /// The `graph` command: render the program's fusion graph as Graphviz
 /// DOT — solid directed edges for dependences, dashed red edges for
@@ -95,152 +85,74 @@ pub fn cmd_run(src: &str) -> Result<String, ServeError> {
     Ok(out)
 }
 
-/// The `report` command.
-pub fn cmd_report(src: &str, opts: &Options) -> Result<String, ServeError> {
-    let p = load(src)?;
-    let meter = mbb_obs::Meter::start();
-    let a = analysis::report(&p, opts)?;
-    let sim = meter.finish();
-    let mut out = a.text;
-    let _ = writeln!(out, "  simulation: {}", sim.summary());
-    Ok(out)
-}
-
-/// The `trace-stats` command: execution counters plus induced hierarchy
-/// traffic (also served over the wire by `mbbc serve`).
-pub fn cmd_trace_stats(src: &str, opts: &Options) -> Result<String, ServeError> {
-    let p = load(src)?;
-    let meter = mbb_obs::Meter::start();
-    let a = analysis::trace_stats(&p, opts)?;
-    let sim = meter.finish();
-    let mut out = a.text;
-    let _ = writeln!(out, "  simulation: {}", sim.summary());
-    Ok(out)
-}
-
-/// A profiled analysis run: the report text with per-nest attribution
-/// tables appended, plus the labeled span profiles (one per timeline
-/// track) for `--trace-out` export.
-pub struct Profiled {
+/// What an analysis command prints, plus what `--emit` and
+/// `--trace-out` take from it.
+pub struct Output {
+    /// The report: the analysis text, then the per-nest attribution
+    /// tables when a profile was asked for, or else the per-execution
+    /// lines.
     pub text: String,
-    pub profiles: Vec<(String, mbb_obs::Profile)>,
+    /// The optimised source, for the two optimize kinds.
+    pub optimized: Option<String>,
+    /// The span profile, when [`Options::profile`] was set.
+    pub profile: Option<mbb_obs::Profile>,
 }
 
-/// Renders one per-nest attribution table, or an honest placeholder when
-/// the profile carries no interpreter run under `phase`.
-fn nest_section(title: &str, profile: &mbb_obs::Profile, phase: Option<&str>) -> String {
-    match mbb_core::profile::nest_table_under(profile, phase) {
-        Some(table) => format!("{title}\n{}", mbb_core::profile::render(&table)),
-        None => format!("{title}\n  (no interpreter run profiled)\n"),
-    }
-}
-
-/// The `report --profile` command: the ordinary report followed by the
-/// per-nest bandwidth attribution of the measurement run.
-pub fn cmd_report_profiled(src: &str, opts: &Options) -> Result<Profiled, ServeError> {
-    let p = load(src)?;
-    let opts = Options { profile: true, ..opts.clone() };
-    let a = analysis::report(&p, &opts)?;
-    let profile = a.profile.expect("profile requested");
-    let mut text = a.text;
-    let _ = write!(text, "\n{}", nest_section("per-nest attribution:", &profile, None));
-    Ok(Profiled { text, profiles: vec![("report".to_string(), profile)] })
-}
-
-/// The `trace-stats --profile` command.
-pub fn cmd_trace_stats_profiled(src: &str, opts: &Options) -> Result<Profiled, ServeError> {
-    let p = load(src)?;
-    let opts = Options { profile: true, ..opts.clone() };
-    let a = analysis::trace_stats(&p, &opts)?;
-    let profile = a.profile.expect("profile requested");
-    let mut text = a.text;
-    let _ = write!(text, "\n{}", nest_section("per-nest attribution:", &profile, None));
-    Ok(Profiled { text, profiles: vec![("trace-stats".to_string(), profile)] })
-}
-
-/// The `advise --profile` command.
-pub fn cmd_advise_profiled(src: &str, opts: &Options) -> Result<Profiled, ServeError> {
-    let p = load(src)?;
-    let opts = Options { profile: true, ..opts.clone() };
-    let a = analysis::advise(&p, &opts)?;
-    let profile = a.profile.expect("profile requested");
-    let mut text = a.text;
-    let _ = write!(text, "\n{}", nest_section("per-nest attribution:", &profile, None));
-    Ok(Profiled { text, profiles: vec![("advise".to_string(), profile)] })
-}
-
-/// The `optimize --profile` command; returns the profiled report (with
-/// *before* and *after* attribution tables) and the optimised source.
-pub fn cmd_optimize_profiled(src: &str, opts: &Options) -> Result<(Profiled, String), ServeError> {
-    let p = load(src)?;
-    let opts = Options { profile: true, ..opts.clone() };
-    let (a, optimized) = analysis::optimize(&p, &opts)?;
-    let profile = a.profile.expect("profile requested");
-    let mut text = a.text;
-    let _ = write!(
-        text,
-        "\n{}\n{}",
-        nest_section("per-nest attribution (before):", &profile, Some("before")),
-        nest_section("per-nest attribution (after):", &profile, Some("after")),
-    );
-    Ok((Profiled { text, profiles: vec![("optimize".to_string(), profile)] }, optimized))
-}
-
-/// Appends the CLI-only per-execution lines to a search report: the
-/// score-cache delta (what *this* run hit and missed in the process-wide
-/// cache) and the `simulation:` timing line.  Both are execution facts,
-/// excluded from the deterministic analysis text for the same reason the
-/// server excludes them from responses.
-fn append_search_footer(
-    out: &mut String,
-    before: mbb_search::cache::CacheStats,
-    sim: mbb_obs::Measure,
-) {
-    let after = mbb_search::ScoreCache::global().stats();
-    let _ = writeln!(
-        out,
-        "  search cache: {} hit(s), {} miss(es)",
-        after.hits - before.hits,
-        after.misses - before.misses
-    );
-    let _ = writeln!(out, "  simulation: {}", sim.summary());
-}
-
-/// The `optimize --search` command; returns `(report, optimized_source)`.
-pub fn cmd_optimize_search(
+/// The analysis commands: parses `src` and runs the analysis `kind`
+/// names.
+///
+/// With [`Options::profile`] set, the text ends with the per-nest
+/// attribution of each measurement (before and after, for the optimize
+/// kinds).  Otherwise it ends with the lines that describe this
+/// execution and that the server leaves out of its responses: for a
+/// search, the score-cache delta (what *this* run hit and missed in the
+/// process-wide cache), then, for every kind but `advise`, the
+/// `simulation:` timing line.
+pub fn cmd_analyze(
+    kind: Kind,
     src: &str,
     opts: &Options,
     sp: &SearchParams,
-) -> Result<(String, String), ServeError> {
+) -> Result<Output, ServeError> {
     let p = load(src)?;
-    let cache_before = mbb_search::ScoreCache::global().stats();
+    let cache_before =
+        (kind == Kind::OptimizeSearch).then(|| mbb_search::ScoreCache::global().stats());
+    // Meters the whole simulation-backed region: for optimize, the
+    // balance measurements, the verification runs and the re-measurement.
     let meter = mbb_obs::Meter::start();
-    let (a, optimized) = analysis::optimize_search(&p, opts, sp)?;
-    let mut out = a.text;
-    append_search_footer(&mut out, cache_before, meter.finish());
-    Ok((out, optimized))
-}
-
-/// The `optimize --search --profile` command: the search report with
-/// *before* and *after* attribution tables (the profile also carries the
-/// `search` and per-candidate `score:<spec>` spans for `--trace-out`).
-pub fn cmd_optimize_search_profiled(
-    src: &str,
-    opts: &Options,
-    sp: &SearchParams,
-) -> Result<(Profiled, String), ServeError> {
-    let p = load(src)?;
-    let opts = Options { profile: true, ..opts.clone() };
-    let (a, optimized) = analysis::optimize_search(&p, &opts, sp)?;
-    let profile = a.profile.expect("profile requested");
+    let (a, optimized) = analysis::run(kind, &p, opts, sp)?;
+    let sim = meter.finish();
     let mut text = a.text;
-    let _ = write!(
-        text,
-        "\n{}\n{}",
-        nest_section("per-nest attribution (before):", &profile, Some("before")),
-        nest_section("per-nest attribution (after):", &profile, Some("after")),
-    );
-    Ok((Profiled { text, profiles: vec![("optimize-search".to_string(), profile)] }, optimized))
+    match &a.profile {
+        Some(profile) => {
+            for (phase, table) in analysis::nest_tables(profile) {
+                let title = match phase {
+                    Some(phase) => format!("per-nest attribution ({phase}):"),
+                    None => "per-nest attribution:".to_string(),
+                };
+                let body = match table {
+                    Some(table) => mbb_core::profile::render(&table),
+                    None => "  (no interpreter run profiled)\n".to_string(),
+                };
+                let _ = write!(text, "\n{title}\n{body}");
+            }
+        }
+        None => {
+            if let Some(before) = cache_before {
+                let after = mbb_search::ScoreCache::global().stats();
+                let _ = writeln!(
+                    text,
+                    "  search cache: {} hit(s), {} miss(es)",
+                    after.hits - before.hits,
+                    after.misses - before.misses
+                );
+            }
+            if kind != Kind::Advise {
+                let _ = writeln!(text, "  simulation: {}", sim.summary());
+            }
+        }
+    }
+    Ok(Output { text, optimized, profile: a.profile })
 }
 
 /// The `optimize --pipeline SPEC` command: replay an explicit
@@ -258,20 +170,6 @@ pub fn cmd_optimize_pipeline(
     let meter = mbb_obs::Meter::start();
     let (mut out, optimized) = analysis::optimize_replay(&p, opts, &cand)?;
     let _ = writeln!(out, "  simulation: {}", meter.finish().summary());
-    Ok((out, optimized))
-}
-
-/// The `optimize` command; returns `(report, optimized_source)`.
-pub fn cmd_optimize(src: &str, opts: &Options) -> Result<(String, String), ServeError> {
-    let p = load(src)?;
-    // Meter the whole simulation-backed region — balance measurements,
-    // the equivalence verification runs, and the re-measurement of the
-    // optimised program — exactly as `report` meters its single run.
-    let meter = mbb_obs::Meter::start();
-    let (a, optimized) = analysis::optimize(&p, opts)?;
-    let sim = meter.finish();
-    let mut out = a.text;
-    let _ = writeln!(out, "  simulation: {}", sim.summary());
     Ok((out, optimized))
 }
 
@@ -299,18 +197,24 @@ program fig7
         assert!(out.contains("sum = "), "{out}");
     }
 
+    /// The analysis command with default options.
+    fn analyze(kind: Kind, opts: &Options) -> Output {
+        cmd_analyze(kind, SRC, opts, &SearchParams::default()).unwrap()
+    }
+
     #[test]
     fn report_shows_channels_and_bound() {
-        let out = cmd_report(SRC, &Options::default()).unwrap();
-        assert!(out.contains("Mem"), "{out}");
-        assert!(out.contains("CPU utilisation bound"), "{out}");
-        assert!(out.contains("bottleneck"), "{out}");
-        assert!(out.contains("simulation: simulated"), "{out}");
+        let out = analyze(Kind::Report, &Options::default());
+        assert!(out.text.contains("Mem"), "{}", out.text);
+        assert!(out.text.contains("CPU utilisation bound"), "{}", out.text);
+        assert!(out.text.contains("bottleneck"), "{}", out.text);
+        assert!(out.text.contains("simulation: simulated"), "{}", out.text);
+        assert!(out.optimized.is_none() && out.profile.is_none());
     }
 
     #[test]
     fn trace_stats_shows_hierarchy_traffic() {
-        let out = cmd_trace_stats(SRC, &Options::default()).unwrap();
+        let out = analyze(Kind::TraceStats, &Options::default()).text;
         assert!(out.contains("accesses:"), "{out}");
         assert!(out.contains("tlb misses"), "{out}");
         assert!(out.contains("simulation: simulated"), "{out}");
@@ -318,11 +222,12 @@ program fig7
 
     #[test]
     fn optimize_round_trips_through_the_parser() {
-        let (report, optimized) = cmd_optimize(SRC, &Options::default()).unwrap();
-        assert!(report.contains("store elimination"), "{report}");
-        assert!(report.contains("speedup"), "{report}");
-        assert!(report.contains("simulation: simulated"), "{report}");
+        let out = analyze(Kind::Optimize, &Options::default());
+        assert!(out.text.contains("store elimination"), "{}", out.text);
+        assert!(out.text.contains("speedup"), "{}", out.text);
+        assert!(out.text.contains("simulation: simulated"), "{}", out.text);
         // The emitted program must itself parse and behave identically.
+        let optimized = out.optimized.expect("optimize returns its program");
         let p = load(SRC).unwrap();
         let q = load(&optimized).unwrap_or_else(|e| panic!("{e}\n{optimized}"));
         let rp = mbb_ir::interp::run(&p).unwrap();
@@ -332,29 +237,28 @@ program fig7
 
     #[test]
     fn profiled_report_appends_a_nest_table_that_sums_to_the_report() {
-        let out = cmd_report_profiled(SRC, &Options::default()).unwrap();
+        let out = analyze(Kind::Report, &Options { profile: true, ..Options::default() });
         assert!(out.text.contains("per-nest attribution:"), "{}", out.text);
         // Both loop nests appear as rows, plus the total row.
         assert!(out.text.contains("nest:"), "{}", out.text);
         assert!(out.text.contains("total"), "{}", out.text);
-        assert_eq!(out.profiles.len(), 1);
-        let (label, profile) = &out.profiles[0];
-        assert_eq!(label, "report");
+        assert!(!out.text.contains("simulation:"), "{}", out.text);
 
         // The table's totals are exactly the whole-program measurement.
-        let table = mbb_core::profile::nest_table(profile).expect("table");
+        let profile = out.profile.expect("profile requested");
+        let table = mbb_core::profile::nest_table(&profile).expect("table");
         let p = load(SRC).unwrap();
-        let a = mbb_server::analysis::report(&p, &Options::default()).unwrap();
+        let a = analysis::report(&p, &Options::default()).unwrap();
         let flops = a.data.get("flops").and_then(|j| j.as_f64()).unwrap();
         assert_eq!(table.flops as f64, flops);
     }
 
     #[test]
     fn profiled_optimize_shows_before_and_after_tables() {
-        let (out, optimized) = cmd_optimize_profiled(SRC, &Options::default()).unwrap();
+        let out = analyze(Kind::Optimize, &Options { profile: true, ..Options::default() });
         assert!(out.text.contains("per-nest attribution (before):"), "{}", out.text);
         assert!(out.text.contains("per-nest attribution (after):"), "{}", out.text);
-        assert!(load(&optimized).is_ok());
+        assert!(load(&out.optimized.unwrap()).is_ok());
     }
 
     #[test]

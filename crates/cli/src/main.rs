@@ -26,10 +26,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mbb_cli::{
-    cmd_advise, cmd_advise_profiled, cmd_optimize, cmd_optimize_pipeline, cmd_optimize_profiled,
-    cmd_optimize_search, cmd_optimize_search_profiled, cmd_report, cmd_report_profiled, cmd_run,
-    cmd_trace_stats, cmd_trace_stats_profiled, machine_by_name, ErrorKind, Options, Profiled,
-    SearchParams, ServeError,
+    cmd_analyze, cmd_graph, cmd_optimize_pipeline, cmd_run, cmd_trace, machine_by_name, ErrorKind,
+    Kind, Options, SearchParams, ServeError,
 };
 use mbb_core::pipeline::FusionStrategy;
 
@@ -299,74 +297,41 @@ fn main() -> ExitCode {
     // layer; setting the process default covers them too.
     mbb_ir::runs::set_default(opts.engine);
 
-    let want_profile = profile || trace_out.is_some();
+    opts.profile = profile || trace_out.is_some();
     let result = read_source(file).and_then(|src| {
-        if !want_profile {
-            return match cmd.as_str() {
-                "run" => cmd_run(&src),
-                "trace" => mbb_cli::cmd_trace(&src),
-                "graph" => mbb_cli::cmd_graph(&src),
-                "report" => cmd_report(&src, &opts),
-                "advise" => cmd_advise(&src, &opts),
-                "trace-stats" => cmd_trace_stats(&src, &opts),
-                "optimize" | "optimise" => {
-                    let r = if search {
-                        cmd_optimize_search(&src, &opts, &sp)
-                    } else if let Some(spec) = &pipeline_spec {
-                        cmd_optimize_pipeline(&src, &opts, spec)
-                    } else {
-                        cmd_optimize(&src, &opts)
-                    };
-                    r.map(
-                        |(report, program)| {
-                            if emit {
-                                format!("{report}\n{program}")
-                            } else {
-                                report
-                            }
-                        },
-                    )
-                }
-                other => unreachable!("command `{other}` validated above"),
-            };
-        }
-        let profiled: Profiled = match cmd.as_str() {
-            "report" => cmd_report_profiled(&src, &opts)?,
-            "advise" => cmd_advise_profiled(&src, &opts)?,
-            "trace-stats" => cmd_trace_stats_profiled(&src, &opts)?,
-            "optimize" | "optimise" => {
-                if pipeline_spec.is_some() {
-                    return Err(ServeError::new(
-                        ErrorKind::BadRequest,
-                        "--profile/--trace-out do not apply to --pipeline replays",
-                    ));
-                }
-                let (p, program) = if search {
-                    cmd_optimize_search_profiled(&src, &opts, &sp)?
-                } else {
-                    cmd_optimize_profiled(&src, &opts)?
+        let kind = match cmd.as_str() {
+            "report" => Kind::Report,
+            "advise" => Kind::Advise,
+            "trace-stats" => Kind::TraceStats,
+            _ if search => Kind::OptimizeSearch,
+            "optimize" | "optimise" if pipeline_spec.is_none() => Kind::Optimize,
+            other if opts.profile => {
+                let what = match pipeline_spec {
+                    Some(_) => "--pipeline replays".to_string(),
+                    None => format!("`{other}`"),
                 };
-                if emit {
-                    Profiled { text: format!("{}\n{program}", p.text), profiles: p.profiles }
-                } else {
-                    p
-                }
+                let why = format!("--profile/--trace-out do not apply to {what}");
+                return Err(ServeError::new(ErrorKind::BadRequest, why));
             }
-            other => {
-                return Err(ServeError::new(
-                    ErrorKind::BadRequest,
-                    format!("--profile/--trace-out do not apply to `{other}`"),
-                ))
+            "run" => return cmd_run(&src),
+            "trace" => return cmd_trace(&src),
+            "graph" => return cmd_graph(&src),
+            _ => {
+                let spec = pipeline_spec.as_deref().expect("only replays are left");
+                let (report, program) = cmd_optimize_pipeline(&src, &opts, spec)?;
+                return Ok(if emit { format!("{report}\n{program}") } else { report });
             }
         };
-        if let Some(path) = &trace_out {
-            let tracks: Vec<(&str, &mbb_obs::Profile)> =
-                profiled.profiles.iter().map(|(label, p)| (label.as_str(), p)).collect();
-            let doc = mbb_obs::chrometrace::chrome_trace(&tracks);
+        let out = cmd_analyze(kind, &src, &opts, &sp)?;
+        if let (Some(path), Some(profile)) = (&trace_out, &out.profile) {
+            let doc = mbb_obs::chrometrace::chrome_trace(&[(kind.as_str(), profile)]);
             std::fs::write(path, doc.render())
                 .map_err(|e| ServeError::new(ErrorKind::Io, format!("{path}: {e}")))?;
         }
-        Ok(profiled.text)
+        Ok(match out.optimized {
+            Some(program) if emit => format!("{}\n{program}", out.text),
+            _ => out.text,
+        })
     });
 
     match result {

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
 use mbb_core::balance::{measure_program_balance, ratios, ProgramBalance};
 use mbb_core::pipeline::{optimize as run_pipeline, verify_equivalent, OptimizeOptions};
+use mbb_core::profile::{nest_table, nest_table_under, NestTable};
 use mbb_core::regroup::{regroup_all, RegroupAction};
 use mbb_core::spec::Candidate;
 use mbb_ir::budget::Budget;
@@ -22,6 +23,7 @@ use mbb_obs::channel_names;
 use mbb_obs::json::Json;
 
 use crate::error::{ErrorKind, ServeError};
+use crate::protocol::Kind;
 
 /// Options shared by the analysis commands.
 #[derive(Clone, Debug)]
@@ -137,7 +139,7 @@ pub fn profile_json(p: &mbb_obs::Profile) -> Json {
     if let Some(cpu) = p.cpu_ns {
         pairs.insert(1, ("cpu_ns".into(), Json::UInt(cpu)));
     }
-    let table_json = |t: &mbb_core::profile::NestTable| {
+    let table_json = |t: &NestTable| {
         Json::obj([
             (
                 "rows",
@@ -161,16 +163,28 @@ pub fn profile_json(p: &mbb_obs::Profile) -> Json {
             ),
         ])
     };
-    // One table for single-measurement analyses; before/after for optimize.
-    if let Some(t) = mbb_core::profile::nest_table_under(p, Some("before")) {
-        pairs.push(("nest_table_before".into(), table_json(&t)));
-        if let Some(t) = mbb_core::profile::nest_table_under(p, Some("after")) {
-            pairs.push(("nest_table_after".into(), table_json(&t)));
+    for (phase, table) in nest_tables(p) {
+        if let Some(t) = table {
+            let key = phase.map_or("nest_table".to_string(), |ph| format!("nest_table_{ph}"));
+            pairs.push((key, table_json(&t)));
         }
-    } else if let Some(t) = mbb_core::profile::nest_table(p) {
-        pairs.push(("nest_table".into(), table_json(&t)));
     }
     Json::Obj(pairs)
+}
+
+/// The per-nest tables a profile carries, each with the phase it
+/// measured: `before` and `after` for the optimize kinds, one unnamed
+/// table for the others.  A table is `None` when its phase ran no
+/// interpreter.
+pub fn nest_tables(p: &mbb_obs::Profile) -> Vec<(Option<&'static str>, Option<NestTable>)> {
+    if p.find("before").is_some() {
+        ["before", "after"]
+            .into_iter()
+            .map(|ph| (Some(ph), nest_table_under(p, Some(ph))))
+            .collect()
+    } else {
+        vec![(None, nest_table(p))]
+    }
 }
 
 /// Parses a machine name: `origin` (default), `exemplar`, or
@@ -224,6 +238,30 @@ fn check_deadline() -> Result<(), ServeError> {
 fn measured(p: &Program, opts: &Options) -> Result<(Prediction, ProgramBalance), ServeError> {
     let b = measure_program_balance(p, &opts.machine).map_err(run_error)?;
     Ok((predict(&opts.machine, &b.report, b.flops), b))
+}
+
+/// Runs the analysis a request kind names: the one place a kind picks
+/// its analysis, for `mbbc` and `mbbc serve` alike.  Returns the
+/// [`Analysis`], plus the optimised source for the two optimize kinds.
+/// A kind that analyses no program is a bad request.
+pub fn run(
+    kind: Kind,
+    p: &Program,
+    opts: &Options,
+    sp: &SearchParams,
+) -> Result<(Analysis, Option<String>), ServeError> {
+    let with_source = |(a, src): (Analysis, String)| (a, Some(src));
+    Ok(match kind {
+        Kind::Report => (report(p, opts)?, None),
+        Kind::Advise => (advise(p, opts)?, None),
+        Kind::TraceStats => (trace_stats(p, opts)?, None),
+        Kind::Optimize => with_source(optimize(p, opts)?),
+        Kind::OptimizeSearch => with_source(optimize_search(p, opts, sp)?),
+        other => {
+            let why = format!("`{}` analyses no program", other.as_str());
+            return Err(ServeError::new(ErrorKind::BadRequest, why));
+        }
+    })
 }
 
 /// The `report` analysis: §2 program balance, ratios, utilisation bound
@@ -394,6 +432,16 @@ fn verified<T>(
     Ok(Verified { report, program, regrouped, before, after })
 }
 
+/// The predicted speedup from `before_s` to `after_s` seconds.  A program
+/// that does no work (both times zero) runs no faster and no slower.
+fn speedup(before_s: f64, after_s: f64) -> f64 {
+    if before_s == 0.0 && after_s == 0.0 {
+        1.0
+    } else {
+        before_s / after_s
+    }
+}
+
 /// The `regrouped:` report lines every optimize front-end prints.
 fn regrouped_text(out: &mut String, actions: &[RegroupAction]) {
     for a in actions {
@@ -470,7 +518,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
         "  predicted time:   {:.4} s -> {:.4} s ({:.2}× speedup)",
         before_t.time_s,
         after_t.time_s,
-        before_t.time_s / after_t.time_s
+        speedup(before_t.time_s, after_t.time_s)
     );
     let _ = writeln!(out, "  equivalence:      verified (interpreted both versions)");
 
@@ -530,7 +578,7 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
                 ("after", Json::num(after_t.time_s)),
             ]),
         ),
-        ("speedup", Json::num(before_t.time_s / after_t.time_s)),
+        ("speedup", Json::num(speedup(before_t.time_s, after_t.time_s))),
         ("optimized_program", Json::str(optimized.clone())),
     ]);
     Ok((Analysis::new(out, data), optimized))
@@ -625,7 +673,7 @@ fn optimize_search_inner(
         "  predicted time:   {:.4} s -> {:.4} s ({:.2}× speedup)",
         before_t.time_s,
         after_t.time_s,
-        before_t.time_s / after_t.time_s
+        speedup(before_t.time_s, after_t.time_s)
     );
     let _ = writeln!(
         text,
@@ -675,7 +723,7 @@ fn optimize_search_inner(
                 ("after", Json::num(after_t.time_s)),
             ]),
         ),
-        ("speedup", Json::num(before_t.time_s / after_t.time_s)),
+        ("speedup", Json::num(speedup(before_t.time_s, after_t.time_s))),
         ("optimized_program", Json::str(optimized.clone())),
     ]);
     Ok((Analysis::new(text, data), optimized))
@@ -860,6 +908,38 @@ mod tests {
             load("array a[16]\nfor i = 0, 3\n  for i = 0, 3\n    a[i] = 1\n  end for\nend for\n")
                 .unwrap_err();
         assert_eq!(v.kind, ErrorKind::Validate, "{v}");
+    }
+
+    #[test]
+    fn run_analyses_exactly_the_program_kinds() {
+        let p = load(SRC).unwrap();
+        let (opts, sp) = (Options::default(), SearchParams::default());
+        for kind in Kind::ALL {
+            match run(kind, &p, &opts, &sp) {
+                Ok((a, source)) => {
+                    assert!(kind.takes_program(), "{}", kind.as_str());
+                    let optimizes = matches!(kind, Kind::Optimize | Kind::OptimizeSearch);
+                    assert_eq!(source.is_some(), optimizes, "{}", kind.as_str());
+                    assert!(a.text.contains(&p.name), "{}: {}", kind.as_str(), a.text);
+                }
+                Err(e) => {
+                    assert!(!kind.takes_program(), "{}: {e}", kind.as_str());
+                    assert_eq!(e.kind, ErrorKind::BadRequest, "{}", kind.as_str());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_program_without_work_reports_unit_speedup() {
+        let p = load("program idle\narray a[8]\nscalar s = 1  // printed\n").unwrap();
+        let (opts, sp) = (Options::default(), SearchParams::default());
+        let (fixed, _) = optimize(&p, &opts).unwrap();
+        let (searched, _) = optimize_search(&p, &opts, &sp).unwrap();
+        for a in [fixed, searched] {
+            assert!(a.text.contains("(1.00× speedup)"), "{}", a.text);
+            assert_eq!(a.data.get("speedup").and_then(Json::as_f64), Some(1.0));
+        }
     }
 
     #[test]

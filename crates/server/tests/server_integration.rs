@@ -11,6 +11,7 @@ use std::time::Duration;
 use mbb_obs::json::Json;
 use mbb_server::analysis;
 use mbb_server::client::{expect_ok, Client};
+use mbb_server::protocol::Kind;
 use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
@@ -30,13 +31,8 @@ fn serial(kind: &str, program: &str, machine: &str) -> Json {
         ..Default::default()
     };
     let p = analysis::load(program).unwrap();
-    let a = match kind {
-        "report" => analysis::report(&p, &opts).unwrap(),
-        "advise" => analysis::advise(&p, &opts).unwrap(),
-        "optimize" => analysis::optimize(&p, &opts).unwrap().0,
-        "trace-stats" => analysis::trace_stats(&p, &opts).unwrap(),
-        other => panic!("unknown kind {other}"),
-    };
+    let kind = Kind::lookup(kind).unwrap_or_else(|| panic!("unknown kind {kind}"));
+    let (a, _) = analysis::run(kind, &p, &opts, &analysis::SearchParams::default()).unwrap();
     Json::obj([("text", Json::str(a.text)), ("data", a.data)])
 }
 
