@@ -13,7 +13,8 @@ use mbb_ir::program::{LoopNest, Program, VarId};
 /// Why a fusion could not be applied.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FuseError {
-    /// The groups are not a partition of the nest indices.
+    /// The groups are not a partition of the nest indices into
+    /// non-empty groups.
     NotAPartition,
     /// Two nests in one group may not be fused (with the pairwise reason).
     Illegal {
@@ -39,10 +40,13 @@ pub enum FuseError {
 /// Checks pairwise fusibility inside groups and forward dependence flow
 /// across groups; returns the fused program or the reason it is illegal.
 pub fn fuse_nests(prog: &Program, groups: &[Vec<usize>]) -> Result<Program, FuseError> {
-    // --- A partition of 0..n, each group sorted ---------------------------
+    // --- A partition of 0..n into non-empty groups -------------------------
     let n = prog.nests.len();
     let mut seen = vec![false; n];
     for g in groups {
+        if g.is_empty() {
+            return Err(FuseError::NotAPartition);
+        }
         for &k in g {
             if k >= n || seen[k] {
                 return Err(FuseError::NotAPartition);
@@ -231,6 +235,8 @@ mod tests {
         let p = three_loop_program(16);
         assert!(matches!(fuse_nests(&p, &[vec![0, 1]]), Err(FuseError::NotAPartition)));
         assert!(matches!(fuse_nests(&p, &[vec![0, 0, 1, 2]]), Err(FuseError::NotAPartition)));
+        let with_empty = [vec![0, 1, 2], vec![]];
+        assert!(matches!(fuse_nests(&p, &with_empty), Err(FuseError::NotAPartition)));
     }
 
     #[test]

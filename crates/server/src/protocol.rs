@@ -32,8 +32,6 @@
 //! `"fwd":true`; a node never re-forwards such a request (single hop max).
 //! See [`crate::cluster`].
 
-use std::io::BufRead;
-
 use mbb_core::pipeline::FusionStrategy;
 use mbb_obs::json::Json;
 
@@ -353,53 +351,28 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     Ok(Request { kind, program, machine, flags, budget, profile, engine, id, forwarded })
 }
 
-/// The outcome of reading one length-bounded request line.
-pub enum Line {
-    /// A complete request line (without the newline).
-    Full(Vec<u8>),
-    /// Clean end of stream.
-    Eof,
-    /// The line exceeded the size limit; the framing is lost.
+/// What the front of a connection's read buffer holds.  Requests are
+/// newline-terminated lines of at most `max` bytes, the newline not
+/// counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A complete line: the bytes before index `.0`, which holds its
+    /// newline.
+    Line(usize),
+    /// No newline yet, and no more than `max` bytes: the line goes on.
+    Incomplete,
+    /// The line exceeds `max` bytes; the framing is lost.
     TooLarge,
-    /// Read failure (including timeout).
-    Gone,
 }
 
-/// Reads one newline-terminated line from `reader`, bounded by `max`
-/// bytes.  This is the server's framing primitive; it never blocks past
-/// the reader's own timeout and never allocates more than `max` bytes
-/// (plus one buffered chunk) regardless of input.
-pub fn read_line_limited<R: BufRead + ?Sized>(reader: &mut R, max: usize) -> Line {
-    let mut buf = Vec::new();
-    loop {
-        let (found, used) = {
-            let chunk = match reader.fill_buf() {
-                Ok(c) => c,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Line::Gone,
-            };
-            if chunk.is_empty() {
-                // EOF; a partial trailing line is discarded.
-                return Line::Eof;
-            }
-            match chunk.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    buf.extend_from_slice(&chunk[..pos]);
-                    (true, pos + 1)
-                }
-                None => {
-                    buf.extend_from_slice(chunk);
-                    (false, chunk.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if buf.len() > max {
-            return Line::TooLarge;
-        }
-        if found {
-            return Line::Full(buf);
-        }
+/// Frames the first line of `buf` under the size bound `max`: the
+/// server's framing rule, kept pure so it is tested on any byte stream.
+/// It copies nothing; the caller drains the line it names.
+pub fn frame(buf: &[u8], max: usize) -> Frame {
+    match buf.iter().position(|&b| b == b'\n') {
+        Some(nl) if nl <= max => Frame::Line(nl),
+        None if buf.len() <= max => Frame::Incomplete,
+        _ => Frame::TooLarge,
     }
 }
 
@@ -631,16 +604,17 @@ mod tests {
     }
 
     #[test]
-    fn read_line_limited_frames_and_classifies() {
-        use std::io::Cursor;
-        let mut r = Cursor::new(b"first\nsecond\npartial".to_vec());
-        assert!(matches!(read_line_limited(&mut r, 64), Line::Full(b) if b == b"first"));
-        assert!(matches!(read_line_limited(&mut r, 64), Line::Full(b) if b == b"second"));
-        // A trailing line without its newline is EOF, not a frame.
-        assert!(matches!(read_line_limited(&mut r, 64), Line::Eof));
-
-        let mut r = Cursor::new(vec![b'x'; 100]);
-        assert!(matches!(read_line_limited(&mut r, 10), Line::TooLarge));
+    fn frame_finds_the_first_line_and_classifies() {
+        assert_eq!(frame(b"first\nsecond\npartial", 64), Frame::Line(5));
+        assert_eq!(frame(b"\nrest", 64), Frame::Line(0));
+        // A line without its newline is incomplete until it is too long.
+        assert_eq!(frame(b"partial", 64), Frame::Incomplete);
+        assert_eq!(frame(b"", 0), Frame::Incomplete);
+        assert_eq!(frame(&[b'x'; 100], 10), Frame::TooLarge);
+        // The bound is inclusive and does not count the newline.
+        assert_eq!(frame(b"0123456789\n", 10), Frame::Line(10));
+        assert_eq!(frame(b"0123456789a\n", 10), Frame::TooLarge);
+        assert_eq!(frame(b"0123456789", 10), Frame::Incomplete);
     }
 
     #[test]

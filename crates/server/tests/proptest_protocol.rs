@@ -1,16 +1,14 @@
 //! Property tests for the `mbb-serve/1` framing and envelope parsing.
 //!
 //! Both functions sit directly on the network boundary, so they must be
-//! *total* over untrusted input: [`read_line_limited`] has to terminate
-//! with the right classification on any byte stream (including pathological
-//! chunking), and [`parse_request`] has to return a structured
-//! `bad-request` error — never panic or hang — on anything that is not a
-//! well-formed envelope.
-
-use std::io::{BufReader, Cursor};
+//! *total* over untrusted input: [`frame`], the framing rule the server's
+//! event loop applies to each connection's read buffer, has to classify
+//! any byte stream right however its reads split it, and
+//! [`parse_request`] has to return a structured `bad-request` error —
+//! never panic or hang — on anything that is not a well-formed envelope.
 
 use mbb_server::client::request;
-use mbb_server::protocol::{parse_request, read_line_limited, Line};
+use mbb_server::protocol::{frame, parse_request, Frame};
 use mbb_server::ErrorKind;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -34,12 +32,12 @@ fn arb_stream() -> impl Strategy<Value = Vec<u8>> {
     )
 }
 
-/// The specified framing of `read_line_limited`, derived independently:
-/// each `\n`-terminated line yields `Full` when it fits in `max` and
-/// `TooLarge` otherwise (losing the rest of the stream).  A trailing
-/// unterminated fragment is `Eof` when it fits — but `TooLarge` when it
-/// does not, since the bound is enforced per buffered chunk, before EOF
-/// can be observed.
+/// The specified framing, derived independently: each `\n`-terminated
+/// line is a frame when it fits in `max` and too large otherwise (losing
+/// the rest of the stream).  A trailing unterminated fragment is dropped
+/// at end of stream when it fits — but is too large when it does not,
+/// since the bound is enforced on the buffer, before the end of the
+/// stream can be observed.
 fn expected_frames(stream: &[u8], max: usize) -> Vec<Result<Vec<u8>, ()>> {
     let mut out = Vec::new();
     let mut rest = stream;
@@ -58,6 +56,32 @@ fn expected_frames(stream: &[u8], max: usize) -> Vec<Result<Vec<u8>, ()>> {
     out
 }
 
+/// Frames `stream` as the event loop does when it arrives in `chunk`-byte
+/// reads: after each read every complete line is drained off the front of
+/// the buffer; at the end of the stream a partial line is dropped.
+fn framed(stream: &[u8], max: usize, chunk: usize) -> Vec<Result<Vec<u8>, ()>> {
+    let mut buf = Vec::new();
+    let mut out = Vec::new();
+    for read in stream.chunks(chunk) {
+        buf.extend_from_slice(read);
+        loop {
+            match frame(&buf, max) {
+                Frame::Line(nl) => {
+                    let mut line: Vec<u8> = buf.drain(..=nl).collect();
+                    line.pop(); // the newline
+                    out.push(Ok(line));
+                }
+                Frame::Incomplete => break,
+                Frame::TooLarge => {
+                    out.push(Err(()));
+                    return out; // framing lost: the connection closes
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -67,29 +91,16 @@ proptest! {
         max in 0usize..32,
         chunk in 1usize..9,
     ) {
-        // A tiny BufReader capacity forces the continuation path: lines
-        // arrive split across many fill_buf chunks.
-        let mut reader = BufReader::with_capacity(chunk, Cursor::new(stream.clone()));
-        for want in expected_frames(&stream, max) {
-            match (read_line_limited(&mut reader, max), want) {
-                (Line::Full(got), Ok(want)) => prop_assert_eq!(got, want),
-                (Line::TooLarge, Err(())) => return Ok(()), // framing lost: done
-                (got, want) => prop_assert!(
-                    false,
-                    "misframed {:?} with max {}: wanted {:?}, got {}",
-                    stream,
-                    max,
-                    want,
-                    match got {
-                        Line::Full(b) => format!("Full({b:?})"),
-                        Line::Eof => "Eof".into(),
-                        Line::TooLarge => "TooLarge".into(),
-                        Line::Gone => "Gone".into(),
-                    }
-                ),
-            }
-        }
-        prop_assert!(matches!(read_line_limited(&mut reader, max), Line::Eof));
+        // Small reads force the continuation path: lines arrive split
+        // across many of them.
+        prop_assert_eq!(
+            framed(&stream, max, chunk),
+            expected_frames(&stream, max),
+            "misframed {:?} with max {} in {}-byte reads",
+            stream,
+            max,
+            chunk
+        );
     }
 
     #[test]
