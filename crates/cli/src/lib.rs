@@ -106,8 +106,7 @@ pub struct Output {
 /// kinds).  Otherwise it ends with the lines that describe this
 /// execution and that the server leaves out of its responses: for a
 /// search, the score-cache delta (what *this* run hit and missed in the
-/// process-wide cache), then, for every kind but `advise`, the
-/// `simulation:` timing line.
+/// process-wide cache), then the `simulation:` timing line.
 pub fn cmd_analyze(
     kind: Kind,
     src: &str,
@@ -147,9 +146,7 @@ pub fn cmd_analyze(
                     after.misses - before.misses
                 );
             }
-            if kind != Kind::Advise {
-                let _ = writeln!(text, "  simulation: {}", sim.summary());
-            }
+            let _ = writeln!(text, "  simulation: {}", sim.summary());
         }
     }
     Ok(Output { text, optimized, profile: a.profile })
@@ -218,6 +215,13 @@ program fig7
         assert!(out.contains("accesses:"), "{out}");
         assert!(out.contains("tlb misses"), "{out}");
         assert!(out.contains("simulation: simulated"), "{out}");
+    }
+
+    #[test]
+    fn advise_ends_with_its_simulation_line() {
+        let out = analyze(Kind::Advise, &Options::default()).text;
+        let last = out.lines().last().unwrap_or_default();
+        assert!(last.starts_with("  simulation: simulated"), "{out}");
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! from event counts — except the counters are the `mbb-memsim` simulator
 //! fed by the `mbb-ir` interpreter (or by a traced native kernel).
 
+use std::cell::Cell;
+
 use mbb_ir::interp::{InterpError, Interpreter, LayoutOpts};
 use mbb_ir::program::Program;
 use mbb_ir::trace::AccessSink;
-use mbb_memsim::hierarchy::TrafficReport;
+use mbb_memsim::hierarchy::{Hierarchy, TrafficReport};
 use mbb_memsim::machine::MachineModel;
 use mbb_memsim::timing::{predict, Prediction};
 
@@ -110,14 +112,34 @@ pub fn measure_program_balance(
     measure_program_balance_with_layout(prog, machine, LayoutOpts::default())
 }
 
+thread_local! {
+    /// The hierarchy this thread's last balance measurement ran on, kept
+    /// for the next one: a search scores each candidate with one, and a
+    /// reset costs the sets the last program filled where a build costs
+    /// every set of the machine.
+    static SPARE: Cell<Option<Hierarchy>> = const { Cell::new(None) };
+}
+
 /// As [`measure_program_balance`], with an explicit array layout (used by
 /// the conflict-sensitivity experiments).
+///
+/// Runs on this thread's spare hierarchy, reset, when it has `machine`'s
+/// geometry ([`Hierarchy::has_geometry_of`]), and on a fresh one
+/// otherwise; a reset hierarchy simulates exactly what a fresh one does.
+/// The hierarchy becomes the spare again once the run is measured, so a
+/// panic or an interpreter error only loses the spare.
 pub fn measure_program_balance_with_layout(
     prog: &Program,
     machine: &MachineModel,
     layout: LayoutOpts,
 ) -> Result<ProgramBalance, InterpError> {
-    let mut h = machine.hierarchy();
+    let mut h = match SPARE.take() {
+        Some(mut h) if h.has_geometry_of(machine) => {
+            h.reset();
+            h
+        }
+        _ => machine.hierarchy(),
+    };
     let run = {
         // The "interp" span covers the whole interpretation; inside it the
         // interpreter opens one "nest:<name>" span per loop nest, so the
@@ -130,7 +152,9 @@ pub fn measure_program_balance_with_layout(
         let _s = mbb_obs::span!("flush");
         h.flush();
     }
-    Ok(balance_from_report(&prog.name, h.report(), run.stats.flops))
+    let report = h.report();
+    SPARE.set(Some(h));
+    Ok(balance_from_report(&prog.name, report, run.stats.flops))
 }
 
 /// Measures the balance of a *native* traced kernel: `kernel` receives the

@@ -7,10 +7,13 @@
 //! ordering hazard being that two byte-different renderings of the same
 //! AST silently split one logical cache line into two, defeating the
 //! cross-search work sharing the caches exist for.  Every key is
-//! therefore built from exactly two functions here: [`program`] (the
-//! canonical text) and [`cache_key`] (the FNV-1a composition), and a
-//! workspace test pins the cli/server/search keys byte-for-byte.  The
+//! therefore built from the functions here: [`program`] (the canonical
+//! text), [`cache_key`] (the FNV-1a composition) and [`program_key`]
+//! (the same key hashed straight from the printer, without the text), and
+//! a workspace test pins the cli/server/search keys byte-for-byte.  The
 //! keys index [`crate::cache::Cache`].
+
+use std::fmt;
 
 use mbb_ir::{pretty, Program};
 
@@ -25,12 +28,43 @@ pub fn program(p: &Program) -> String {
 
 /// 64-bit FNV-1a over `bytes` — the workspace's one content-address hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.0
+}
+
+/// A running FNV-1a state.  As a [`fmt::Write`] sink it hashes what is
+/// written and keeps none of it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The state after the key's leading parts, each followed by its NUL.
+    fn key_prefix(kind: &str, machine: &str, flags: &str) -> Self {
+        let mut h = Fnv1a::new();
+        for part in [kind, machine, flags] {
+            h.update(part.as_bytes());
+            h.update(b"\0");
+        }
+        h
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// SplitMix64's increment, the golden ratio in 64-bit fixed point.
@@ -55,7 +89,18 @@ pub fn splitmix64(x: u64) -> u64 {
 /// machine name, a stable flags rendering and the canonical program text,
 /// NUL-separated so no field can masquerade as a neighbour.
 pub fn cache_key(kind: &str, machine: &str, flags: &str, canon: &str) -> u64 {
-    fnv1a(format!("{kind}\0{machine}\0{flags}\0{canon}").as_bytes())
+    let mut h = Fnv1a::key_prefix(kind, machine, flags);
+    h.update(canon.as_bytes());
+    h.0
+}
+
+/// `cache_key(kind, machine, flags, &program(p))`, bit for bit, without
+/// rendering the text: the printer writes straight into the hash.
+pub fn program_key(kind: &str, machine: &str, flags: &str, p: &Program) -> u64 {
+    let mut h = Fnv1a::key_prefix(kind, machine, flags);
+    // Writing into the hash cannot fail.
+    let _ = pretty::write_program(&mut h, p);
+    h.0
 }
 
 #[cfg(test)]
@@ -101,5 +146,17 @@ mod tests {
         // NUL separation: shifting a byte across a field boundary must
         // change the key.
         assert_ne!(cache_key("ab", "c", "", ""), cache_key("a", "bc", "", ""));
+    }
+
+    #[test]
+    fn program_key_hashes_the_canonical_text() {
+        let p = mbb_ir::parse::parse(
+            "array a[8]  // live-out\nscalar s = 0.5  // printed\nfor i = 1, 7, 2\n  \
+             if (i <= 5)\n    a[i] = max(sqrt(a[i-1]), 2)\n  else\n    s = (s + a[(i) mod 3])\n  \
+             end if\nend for\n",
+        )
+        .unwrap();
+        assert_eq!(program_key("k", "m", "f", &p), cache_key("k", "m", "f", &program(&p)));
+        assert_eq!(program_key("", "", "", &p), cache_key("", "", "", &program(&p)));
     }
 }

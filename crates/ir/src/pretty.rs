@@ -4,7 +4,7 @@
 //! programs before and after optimisation in a form directly comparable to
 //! the paper's Figures 6 and 7.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::expr::{Affine, BinOp, CmpOp, Cond, Expr, Ref, UnOp};
 use crate::program::{Init, LoopNest, Program, Stmt};
@@ -17,191 +17,221 @@ use crate::program::{Init, LoopNest, Program, Stmt};
 /// tests hold this invariant over generated programs.
 pub fn program(prog: &Program) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "program {}", prog.name);
+    // Writing into a `String` cannot fail.
+    let _ = write_program(&mut out, prog);
+    out
+}
+
+/// Writes [`program`]'s bytes into `out`, piece by piece: no string is
+/// built for a term, a reference or a subexpression, so a sink that only
+/// hashes what it is given (`mbb_core::canon::program_key`) never holds
+/// the text.  Fails only when `out` does.
+pub fn write_program<W: Write>(out: &mut W, prog: &Program) -> fmt::Result {
+    writeln!(out, "program {}", prog.name)?;
     for a in &prog.arrays {
-        let dims: Vec<String> = a.dims.iter().map(|d| d.to_string()).collect();
+        write!(out, "  array {}[", a.name)?;
+        for (k, d) in a.dims.iter().enumerate() {
+            if k > 0 {
+                out.write_str(", ")?;
+            }
+            write!(out, "{d}")?;
+        }
+        out.write_char(']')?;
         // `// live-out zero` is one attribute comment; the parser matches
         // attribute words, not whole comments.
-        let mut attrs = Vec::new();
-        if a.live_out {
-            attrs.push("live-out");
+        match (a.live_out, a.init == Init::Zero) {
+            (true, true) => out.write_str("  // live-out zero")?,
+            (true, false) => out.write_str("  // live-out")?,
+            (false, true) => out.write_str("  // zero")?,
+            (false, false) => {}
         }
-        if a.init == Init::Zero {
-            attrs.push("zero");
-        }
-        let attr =
-            if attrs.is_empty() { String::new() } else { format!("  // {}", attrs.join(" ")) };
-        let _ = writeln!(out, "  array {}[{}]{}", a.name, dims.join(", "), attr);
+        out.write_char('\n')?;
     }
     for s in &prog.scalars {
-        let _ = writeln!(
+        writeln!(
             out,
             "  scalar {} = {}{}",
             s.name,
             s.init,
             if s.printed { "  // printed" } else { "" }
-        );
+        )?;
     }
     for (k, n) in prog.nests.iter().enumerate() {
-        let _ = writeln!(out, "  // nest {k}: {}", n.name);
-        nest_into(prog, n, 1, &mut out);
+        writeln!(out, "  // nest {k}: {}", n.name)?;
+        nest(out, prog, n, 1)?;
     }
     for &(a, b) in &prog.fusion_preventing {
-        let _ = writeln!(out, "  prevent_fusion {a} {b}");
+        writeln!(out, "  prevent_fusion {a} {b}")?;
     }
-    out
+    Ok(())
 }
 
-/// Renders one nest.
-pub fn nest(prog: &Program, n: &LoopNest) -> String {
-    let mut out = String::new();
-    nest_into(prog, n, 0, &mut out);
-    out
+/// Two spaces per indentation level.
+fn pad<W: Write>(out: &mut W, indent: usize) -> fmt::Result {
+    for _ in 0..indent {
+        out.write_str("  ")?;
+    }
+    Ok(())
 }
 
-fn nest_into(prog: &Program, n: &LoopNest, indent: usize, out: &mut String) {
+fn nest<W: Write>(out: &mut W, prog: &Program, n: &LoopNest, indent: usize) -> fmt::Result {
     for (d, lp) in n.loops.iter().enumerate() {
-        let pad = "  ".repeat(indent + d);
-        let step = if lp.step == 1 { String::new() } else { format!(", {}", lp.step) };
-        let _ = writeln!(
-            out,
-            "{pad}for {} = {}, {}{step}",
-            prog.var_name(lp.var),
-            affine(prog, &lp.lo),
-            affine(prog, &lp.hi),
-        );
+        pad(out, indent + d)?;
+        write!(out, "for {} = ", prog.var_name(lp.var))?;
+        affine(out, prog, &lp.lo)?;
+        out.write_str(", ")?;
+        affine(out, prog, &lp.hi)?;
+        if lp.step != 1 {
+            write!(out, ", {}", lp.step)?;
+        }
+        out.write_char('\n')?;
     }
     for st in &n.body {
-        stmt_into(prog, st, indent + n.loops.len(), out);
+        stmt(out, prog, st, indent + n.loops.len())?;
     }
     for d in (0..n.loops.len()).rev() {
-        let pad = "  ".repeat(indent + d);
-        let _ = writeln!(out, "{pad}end for");
+        pad(out, indent + d)?;
+        out.write_str("end for\n")?;
     }
+    Ok(())
 }
 
-fn stmt_into(prog: &Program, st: &Stmt, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
+fn stmt<W: Write>(out: &mut W, prog: &Program, st: &Stmt, indent: usize) -> fmt::Result {
+    pad(out, indent)?;
     match st {
         Stmt::Assign { lhs, rhs } => {
-            let _ = writeln!(out, "{pad}{} = {}", reference(prog, lhs), expr(prog, rhs));
+            reference(out, prog, lhs)?;
+            out.write_str(" = ")?;
+            expr(out, prog, rhs)?;
+            out.write_char('\n')
         }
         Stmt::If { cond, then_, else_ } => {
-            let _ = writeln!(out, "{pad}if ({})", cond_str(prog, cond));
+            out.write_str("if (")?;
+            condition(out, prog, cond)?;
+            out.write_str(")\n")?;
             for s in then_ {
-                stmt_into(prog, s, indent + 1, out);
+                stmt(out, prog, s, indent + 1)?;
             }
             if !else_.is_empty() {
-                let _ = writeln!(out, "{pad}else");
+                pad(out, indent)?;
+                out.write_str("else\n")?;
                 for s in else_ {
-                    stmt_into(prog, s, indent + 1, out);
+                    stmt(out, prog, s, indent + 1)?;
                 }
             }
-            let _ = writeln!(out, "{pad}end if");
+            pad(out, indent)?;
+            out.write_str("end if\n")
         }
     }
 }
 
-/// Renders an affine expression with variable names.
-pub fn affine(prog: &Program, a: &Affine) -> String {
-    let mut s = String::new();
-    let mut first = true;
-    for &(var, coef) in &a.terms {
+/// An affine expression with variable names: `3*i-j+2`.
+fn affine<W: Write>(out: &mut W, prog: &Program, a: &Affine) -> fmt::Result {
+    for (k, &(var, coef)) in a.terms.iter().enumerate() {
         let name = prog.var_name(var);
-        if first {
-            match coef {
-                1 => {
-                    let _ = write!(s, "{name}");
-                }
-                -1 => {
-                    let _ = write!(s, "-{name}");
-                }
-                _ => {
-                    let _ = write!(s, "{coef}*{name}");
-                }
-            }
-            first = false;
-        } else if coef >= 0 {
-            if coef == 1 {
-                let _ = write!(s, "+{name}");
-            } else {
-                let _ = write!(s, "+{coef}*{name}");
-            }
-        } else if coef == -1 {
-            let _ = write!(s, "-{name}");
-        } else {
-            let _ = write!(s, "{coef}*{name}");
+        match coef {
+            1 if k == 0 => out.write_str(name)?,
+            1 => write!(out, "+{name}")?,
+            -1 => write!(out, "-{name}")?,
+            c if c >= 0 && k > 0 => write!(out, "+{c}*{name}")?,
+            c => write!(out, "{c}*{name}")?,
         }
     }
-    if first {
-        let _ = write!(s, "{}", a.constant);
+    if a.terms.is_empty() {
+        write!(out, "{}", a.constant)
     } else if a.constant > 0 {
-        let _ = write!(s, "+{}", a.constant);
+        write!(out, "+{}", a.constant)
     } else if a.constant < 0 {
-        let _ = write!(s, "{}", a.constant);
+        write!(out, "{}", a.constant)
+    } else {
+        Ok(())
     }
-    s
 }
 
-/// Renders a reference.
-pub fn reference(prog: &Program, r: &Ref) -> String {
+/// Affine expressions separated by `sep`.
+fn affines<W: Write>(out: &mut W, prog: &Program, list: &[Affine], sep: &str) -> fmt::Result {
+    for (k, a) in list.iter().enumerate() {
+        if k > 0 {
+            out.write_str(sep)?;
+        }
+        affine(out, prog, a)?;
+    }
+    Ok(())
+}
+
+fn reference<W: Write>(out: &mut W, prog: &Program, r: &Ref) -> fmt::Result {
     match r {
-        Ref::Scalar(s) => prog.scalar(*s).name.clone(),
+        Ref::Scalar(s) => out.write_str(&prog.scalar(*s).name),
         Ref::Element(a, subs) => {
-            let subs: Vec<String> = subs
-                .iter()
-                .map(|s| match s.modulo {
-                    None => affine(prog, &s.expr),
-                    Some(m) => format!("({}) mod {m}", affine(prog, &s.expr)),
-                })
-                .collect();
-            format!("{}[{}]", prog.array(*a).name, subs.join(","))
+            write!(out, "{}[", prog.array(*a).name)?;
+            for (k, s) in subs.iter().enumerate() {
+                if k > 0 {
+                    out.write_char(',')?;
+                }
+                match s.modulo {
+                    None => affine(out, prog, &s.expr)?,
+                    Some(m) => {
+                        out.write_char('(')?;
+                        affine(out, prog, &s.expr)?;
+                        write!(out, ") mod {m}")?;
+                    }
+                }
+            }
+            out.write_char(']')
         }
     }
 }
 
-fn cond_str(prog: &Program, c: &Cond) -> String {
+fn condition<W: Write>(out: &mut W, prog: &Program, c: &Cond) -> fmt::Result {
     let op = match c.op {
-        CmpOp::Eq => "=",
-        CmpOp::Ne => "!=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
+        CmpOp::Eq => " = ",
+        CmpOp::Ne => " != ",
+        CmpOp::Lt => " < ",
+        CmpOp::Le => " <= ",
+        CmpOp::Gt => " > ",
+        CmpOp::Ge => " >= ",
     };
-    format!("{} {op} {}", affine(prog, &c.lhs), affine(prog, &c.rhs))
+    affine(out, prog, &c.lhs)?;
+    out.write_str(op)?;
+    affine(out, prog, &c.rhs)
 }
 
-/// Renders a value expression.
-pub fn expr(prog: &Program, e: &Expr) -> String {
+fn expr<W: Write>(out: &mut W, prog: &Program, e: &Expr) -> fmt::Result {
     match e {
-        Expr::Const(c) => format!("{c}"),
-        Expr::Load(r) => reference(prog, r),
+        Expr::Const(c) => write!(out, "{c}"),
+        Expr::Load(r) => reference(out, prog, r),
         Expr::Input(src, subs) => {
-            let subs: Vec<String> = subs.iter().map(|s| affine(prog, s)).collect();
-            format!("input#{}({})", src.0, subs.join(","))
+            write!(out, "input#{}(", src.0)?;
+            affines(out, prog, subs, ",")?;
+            out.write_char(')')
         }
         Expr::Unary(op, x) => {
-            let o = match op {
-                UnOp::Neg => "-",
-                UnOp::Sqrt => "sqrt",
-                UnOp::Abs => "abs",
-                UnOp::F1 => "f",
-            };
-            format!("{o}({})", expr(prog, x))
+            out.write_str(match op {
+                UnOp::Neg => "-(",
+                UnOp::Sqrt => "sqrt(",
+                UnOp::Abs => "abs(",
+                UnOp::F1 => "f(",
+            })?;
+            expr(out, prog, x)?;
+            out.write_char(')')
         }
         Expr::Binary(op, l, r) => {
-            let (ls, rs) = (expr(prog, l), expr(prog, r));
-            match op {
-                BinOp::Add => format!("({ls} + {rs})"),
-                BinOp::Sub => format!("({ls} - {rs})"),
-                BinOp::Mul => format!("({ls} * {rs})"),
-                BinOp::Div => format!("({ls} / {rs})"),
-                BinOp::Max => format!("max({ls}, {rs})"),
-                BinOp::Min => format!("min({ls}, {rs})"),
-                BinOp::F => format!("f({ls}, {rs})"),
-                BinOp::G => format!("g({ls}, {rs})"),
-            }
+            // Infix operators in parentheses, the others as calls.
+            let (open, mid) = match op {
+                BinOp::Add => ("(", " + "),
+                BinOp::Sub => ("(", " - "),
+                BinOp::Mul => ("(", " * "),
+                BinOp::Div => ("(", " / "),
+                BinOp::Max => ("max(", ", "),
+                BinOp::Min => ("min(", ", "),
+                BinOp::F => ("f(", ", "),
+                BinOp::G => ("g(", ", "),
+            };
+            out.write_str(open)?;
+            expr(out, prog, l)?;
+            out.write_str(mid)?;
+            expr(out, prog, r)?;
+            out.write_char(')')
         }
     }
 }
@@ -251,10 +281,17 @@ mod tests {
         let mut p = crate::program::Program::new("t");
         let i = p.add_var("i");
         let j = p.add_var("j");
-        assert_eq!(affine(&p, &(v(i) - 1)), "i-1");
-        assert_eq!(affine(&p, &(v(i) + 1)), "i+1");
-        assert_eq!(affine(&p, &Affine::new(0, vec![(i, 1), (j, -1)])), "i-j");
-        assert_eq!(affine(&p, &Affine::constant(5)), "5");
-        assert_eq!(affine(&p, &Affine::new(2, vec![(i, 3)])), "3*i+2");
+        let text = |a: &Affine| {
+            let mut s = String::new();
+            affine(&mut s, &p, a).unwrap();
+            s
+        };
+        assert_eq!(text(&(v(i) - 1)), "i-1");
+        assert_eq!(text(&(v(i) + 1)), "i+1");
+        assert_eq!(text(&Affine::new(0, vec![(i, 1), (j, -1)])), "i-j");
+        assert_eq!(text(&Affine::constant(5)), "5");
+        assert_eq!(text(&Affine::new(2, vec![(i, 3)])), "3*i+2");
+        assert_eq!(text(&Affine::new(-4, vec![(i, -1), (j, 2)])), "-i+2*j-4");
+        assert_eq!(text(&Affine::new(0, vec![(i, -3), (j, -2)])), "-3*i-2*j");
     }
 }

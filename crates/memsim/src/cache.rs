@@ -19,7 +19,7 @@ pub enum WritePolicy {
 }
 
 /// Geometry and policy of one cache level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Diagnostic name ("L1", "L2", …).
     pub name: String,
@@ -204,11 +204,64 @@ impl SetStore {
         (&mut self.lines[base..base + self.ways], &mut self.lru[base..base + self.ways])
     }
 
-    /// Back to the state [`SetStore::new`] builds.
-    fn reset(&mut self) {
+    /// Set `set` back to the state [`SetStore::new`] builds.
+    fn reset_set(&mut self, set: usize) {
+        let base = set * self.ways;
+        self.lines[base..base + self.ways].fill(Line::INVALID);
+        self.lru[base..base + self.ways].copy_from_slice(&WAY_ORDER[..self.ways]);
+    }
+
+    /// Every set back to the state [`SetStore::new`] builds, at the cost
+    /// of a build: one fill and one doubling copy, as `repeat` makes.
+    fn reset_all(&mut self) {
         self.lines.fill(Line::INVALID);
-        for order in self.lru.chunks_exact_mut(self.ways) {
-            order.copy_from_slice(&WAY_ORDER[..self.ways]);
+        self.lru[..self.ways].copy_from_slice(&WAY_ORDER[..self.ways]);
+        let mut done = self.ways;
+        while done < self.lru.len() {
+            let n = done.min(self.lru.len() - done);
+            self.lru.copy_within(..n, done);
+            done += n;
+        }
+    }
+}
+
+/// The sets of one level that received a line since the last reset, so a
+/// reset restores only those.  A set's first install is found in O(1): in
+/// a set that holds no line the LRU victim is the last way and is
+/// invalid, and no line is invalidated between resets, so no later
+/// install in the set sees both.  Only the miss and prefetch install
+/// paths record; a hit needs a line, so its set is already recorded.
+///
+/// Past `limit` sets the record stops: restoring that many sets one by
+/// one would cost more than restoring the whole level, which is what the
+/// reset then does.
+#[derive(Clone, Debug)]
+struct TouchedSets {
+    sets: Vec<u32>,
+    /// At most this many sets are recorded (about an eighth of the level).
+    limit: usize,
+    /// More than `limit` sets received a line.
+    overflowed: bool,
+}
+
+impl TouchedSets {
+    fn new(sets: usize) -> Self {
+        TouchedSets { sets: Vec::new(), limit: sets.div_ceil(8), overflowed: false }
+    }
+
+    /// Records an install into set `set` of `ways` ways at its LRU victim,
+    /// way `victim_way`, which held `victim`.
+    #[inline]
+    fn note_install(&mut self, set: usize, ways: usize, victim_way: usize, victim: Line) {
+        // Once a level is warm every victim is valid, so this first test
+        // is the one predictable branch a miss pays.
+        if victim.valid || victim_way != ways - 1 || self.overflowed {
+            return;
+        }
+        if self.sets.len() == self.limit {
+            self.overflowed = true;
+        } else {
+            self.sets.push(set as u32);
         }
     }
 }
@@ -274,8 +327,11 @@ impl DirtyLines {
     }
 
     fn clear(&mut self) {
-        self.bits.fill(0);
-        self.count = 0;
+        // A drained bitmap is already all zeros.
+        if self.count > 0 {
+            self.bits.fill(0);
+            self.count = 0;
+        }
     }
 }
 
@@ -285,6 +341,7 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: SetStore,
     dirty: DirtyLines,
+    touched: TouchedSets,
     /// Event counters.
     pub stats: LevelStats,
     // Geometry precomputed at construction so the per-access path is all
@@ -323,6 +380,7 @@ impl Cache {
         Cache {
             sets: SetStore::new(sets, ways),
             dirty: DirtyLines::new(sets * ways),
+            touched: TouchedSets::new(sets),
             stats: LevelStats::default(),
             line_shift: cfg.line.trailing_zeros(),
             set_mask: (cfg.sets().is_power_of_two()).then(|| cfg.sets() - 1),
@@ -337,9 +395,19 @@ impl Cache {
         &self.cfg
     }
 
-    /// Resets contents and counters.
+    /// Resets contents and counters: afterwards the cache equals
+    /// [`Cache::new`] of its configuration.  Costs the sets that received
+    /// a line since the last reset, and never more than a build.
     pub fn reset(&mut self) {
-        self.sets.reset();
+        if self.touched.overflowed {
+            self.sets.reset_all();
+        } else {
+            for &set in &self.touched.sets {
+                self.sets.reset_set(set as usize);
+            }
+        }
+        self.touched.sets.clear();
+        self.touched.overflowed = false;
         self.dirty.clear();
         self.stats = LevelStats::default();
     }
@@ -463,6 +531,7 @@ impl Cache {
         // Evict the LRU way.
         let victim_way = *order.last().expect("non-empty set") as usize;
         let victim = set[victim_way];
+        self.touched.note_install(set_idx, set.len(), victim_way, victim);
         let writeback_of = if victim.valid && victim.dirty {
             self.stats.writebacks += 1;
             Some(victim.tag << self.line_shift)
@@ -550,6 +619,7 @@ impl Cache {
         }
         let victim_way = *order.last().expect("non-empty set") as usize;
         let victim = set[victim_way];
+        self.touched.note_install(set_idx, set.len(), victim_way, victim);
         let writeback_of = if victim.valid && victim.dirty {
             self.stats.writebacks += 1;
             Some(victim.tag << self.line_shift)
@@ -703,6 +773,39 @@ mod tests {
         c.reset();
         assert_eq!(c.stats, LevelStats::default());
         assert!(matches!(c.access_line(0, false, false), LineOutcome::Miss { .. }));
+    }
+
+    /// What a cache holds, for comparing a reset cache with a fresh one.
+    fn contents(c: &Cache) -> String {
+        let dirty = c.dirty.bits.iter().filter(|&&w| w != 0).count() + c.dirty.count;
+        format!("{:?} {:?} dirty {dirty}", c.sets, c.stats)
+    }
+
+    #[test]
+    fn reset_restores_the_touched_sets_or_the_whole_level() {
+        // 64 sets of 2 ways: up to 8 first installs are recorded.
+        let cfg = CacheConfig::write_back("l", 4096, 32, 2);
+        let fresh = contents(&Cache::new(cfg.clone()));
+        let mut c = Cache::new(cfg);
+        // Three sets, one of them filled only by the prefetcher; the
+        // second install into set 0 is not a first install.
+        c.access_line(0, true, false);
+        c.access_line(64 * 32, false, false);
+        c.access_line(5 * 32, false, false);
+        c.prefetch_line(9 * 32);
+        assert_eq!(c.touched.sets, [0, 5, 9]);
+        assert!(!c.touched.overflowed);
+        c.reset();
+        assert_eq!(contents(&c), fresh);
+        // Every set, some dirty: the record overflows, and the reset
+        // restores the whole level.
+        for line in 0..128u64 {
+            c.access_line(line * 32, line % 3 == 0, false);
+        }
+        assert!(c.touched.overflowed);
+        c.reset();
+        assert_eq!(contents(&c), fresh);
+        assert!(c.touched.sets.is_empty() && !c.touched.overflowed);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use mbb_ir::trace::{Access, AccessKind, AccessSink, RunRef};
 
 use crate::cache::{Cache, CacheConfig, LevelStats, LineOutcome, WritePolicy};
+use crate::machine::MachineModel;
 
 /// Bytes and events observed on every channel of one simulated run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -158,7 +159,23 @@ impl Hierarchy {
         self.levels.len()
     }
 
-    /// Clears cache contents and counters.
+    /// True when this hierarchy has `machine`'s cache levels and TLB
+    /// geometry, so that once [reset](Hierarchy::reset) it simulates
+    /// exactly what [`MachineModel::hierarchy`] would build.  Compares the
+    /// configurations themselves: two machines of one name may differ.
+    pub fn has_geometry_of(&self, machine: &MachineModel) -> bool {
+        let tlb_matches = match (&self.tlb, machine.tlb) {
+            (None, None) => true,
+            (Some(t), Some(m)) => t.capacity == m.entries && (1u64 << t.page_shift) == m.page,
+            _ => false,
+        };
+        tlb_matches && self.levels.iter().map(Cache::config).eq(&machine.caches)
+    }
+
+    /// Clears cache contents and counters: afterwards the hierarchy
+    /// simulates exactly what a fresh one of its geometry would.  Each
+    /// level pays for the sets it filled since the last reset, and never
+    /// more than building it anew ([`Cache::reset`]).
     pub fn reset(&mut self) {
         for c in &mut self.levels {
             c.reset();

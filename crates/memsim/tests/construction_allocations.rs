@@ -1,12 +1,14 @@
 //! Building and dropping a cold hierarchy costs a fixed handful of heap
 //! allocations, however many sets its caches have.
 //!
-//! Balance analyses build a fresh hierarchy per simulation, and a search
-//! scores every candidate with one, so construction cost is paid once per
-//! simulation.  A per-set allocation would make that cost scale with the
-//! simulated cache size instead of the program (tens of thousands of
-//! allocations for the paper's machines).  This binary has its own
-//! counting global allocator, so it holds this one test only.
+//! The STREAM and CacheBench runs, the traced native kernels and the trace
+//! replays build a hierarchy per simulation; a balance measurement builds
+//! one per thread and machine geometry and resets it for the next
+//! measurement (`mbb_core::balance`).  A per-set allocation would make
+//! each build scale with the simulated cache size instead of the program
+//! (tens of thousands of allocations for the paper's machines).  This
+//! binary has its own counting global allocator, so it holds this one
+//! test only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -24,6 +24,11 @@
 //!    back through [`replay`] must report identically to feeding the
 //!    parsed lines one at a time.
 //!
+//! 4. **Reset** — a hierarchy that ran a trace and was
+//!    [reset](Hierarchy::reset) must simulate the next trace exactly as a
+//!    fresh hierarchy does, whether the first trace filled a few sets (the
+//!    reset restores those) or every set (the reset restores the level).
+//!
 //! The zoo holds the two paper machines plus deliberately awkward
 //! geometries (non-power-of-two set count, write-through L1, next-line
 //! prefetch, shuffled-index L2 with a tiny TLB).
@@ -367,5 +372,59 @@ proptest! {
             direct.access(a);
         }
         prop_assert_eq!(replayed.report(), direct.report());
+    }
+
+    /// A reset hierarchy is a fresh one.  Trace A (a random trace, a short
+    /// one, or a write sweep over twice the zoo's largest cache, which
+    /// fills every set) runs and the hierarchy is reset; then trace B (A
+    /// again, more accesses and a run group) must report exactly what it
+    /// reports on a fresh hierarchy: channel bytes, per-level stats and TLB
+    /// misses.  So must the flush after it, and a replay of A after the
+    /// flush, which runs on the lines and LRU orders the flush order left.
+    /// A second reset must hold the same way.
+    #[test]
+    fn a_reset_hierarchy_simulates_like_a_fresh_one(
+        machine in arb_hierarchy(),
+        sweep in any::<bool>(),
+        a in prop_oneof![
+            proptest::collection::vec(arb_access(), 1..4),
+            proptest::collection::vec(arb_access(), 1..120),
+        ],
+        extra in proptest::collection::vec(arb_access(), 0..60),
+        group in proptest::collection::vec(arb_run(), 1..4),
+        count in 1u64..100,
+    ) {
+        let refs: Vec<RunRef> = group.iter().map(to_run_ref).collect();
+        let feed = |h: &mut Hierarchy, trace: &[Access]| {
+            for &x in trace {
+                h.access(x);
+            }
+        };
+        let trace_b = |h: &mut Hierarchy| {
+            feed(h, &a);
+            feed(h, &extra);
+            h.access_runs(&refs, count);
+        };
+
+        let mut reused = machine.build();
+        if sweep {
+            // 8 MiB of 32-byte lines: twice the Origin2000's L2.
+            let line = RunRef { base: 1 << 24, stride: 32, size: 8, kind: AccessKind::Write };
+            reused.access_runs(&[line], (8 << 20) / 32);
+        }
+        feed(&mut reused, &a);
+        for round in 0..2 {
+            reused.reset();
+            let mut fresh = machine.build();
+            trace_b(&mut reused);
+            trace_b(&mut fresh);
+            prop_assert_eq!(reused.report(), fresh.report(), "round {}", round);
+            reused.flush();
+            fresh.flush();
+            prop_assert_eq!(reused.report(), fresh.report(), "round {} flushed", round);
+            feed(&mut reused, &a);
+            feed(&mut fresh, &a);
+            prop_assert_eq!(reused.report(), fresh.report(), "round {} after the flush", round);
+        }
     }
 }

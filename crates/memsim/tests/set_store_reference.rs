@@ -9,6 +9,12 @@
 //! reads, writes, full-line writes, prefetches, resets and drains — must
 //! produce the same [`LineOutcome`] sequence, the same prefetch victims,
 //! the same drain order and the same [`LevelStats`] after every step.
+//!
+//! A reset restores only the sets filled since the last one, or the whole
+//! level once more than an eighth of its sets were filled.  Half of the
+//! streams reset every fourth step, so their resets follow a few installs
+//! and take the first branch; the others reset about every 64 steps and
+//! mostly take the second.
 
 use mbb_memsim::cache::{Cache, CacheConfig, LevelStats, LineOutcome, WritePolicy};
 use proptest::prelude::*;
@@ -216,11 +222,13 @@ proptest! {
     fn flat_sets_match_the_nested_reference(
         k in 0usize..GEOMETRIES,
         ops in proptest::collection::vec(arb_op(), 1..400),
+        dense_resets in any::<bool>(),
     ) {
         let cfg = geometry(k);
         let mut flat = Cache::new(cfg.clone());
         let mut reference = RefCache::new(cfg);
         for (step, &op) in ops.iter().enumerate() {
+            let op = if dense_resets && step % 4 == 3 { Op::Reset } else { op };
             match op {
                 Op::Read(a) => prop_assert_eq!(
                     flat.access_line(a, false, false),

@@ -1382,7 +1382,8 @@ fn source_key(kind: Kind, machine: &str, flags: &str, src: &str) -> u64 {
 /// instead of the canonical one — to the key and the estimate, and a
 /// byte-identical repeat costs one hash and one lookup.  On a memo miss
 /// the program is loaded here, in the same place an invalid program
-/// always fails, and handed on.  Errors are never memoised; a caller
+/// always fails, keyed by [`program_key`](mbb_core::canon::program_key)
+/// (the printer hashed as it renders) and handed on.  Errors are never memoised; a caller
 /// that joins an identical in-flight fill stops waiting at `deadline`.
 fn key_request(
     shared: &Shared,
@@ -1398,8 +1399,7 @@ fn key_request(
         cache::wait_until(deadline),
         || {
             let p = analysis::load(src)?;
-            let canon = analysis::canonical_source(&p);
-            let key = mbb_core::canon::cache_key(kind.as_str(), machine, flags, &canon);
+            let key = mbb_core::canon::program_key(kind.as_str(), machine, flags, &p);
             let est = overload::estimate_cost_ms(&p, kind);
             prog = Some(p);
             Ok((key, est))

@@ -13,10 +13,14 @@
 # {"pair","seed","side","result"}; each run's stderr goes to FILE.log.
 #
 # The summary gives, per end-to-end metric of BENCHMARK.json: the parent's
-# median and quartiles, the change's median, the ratio of the medians, and
-# the pairs the change won (ties count for neither side), followed by the
-# attempted, failed and `correct` totals of each side.  Given an existing
-# FILE and N = 0, it only summarises.
+# median and quartiles, the change's median, the ratio of the medians, the
+# pairs the change won (ties count for neither side) and a verdict,
+# followed by the attempted, failed and `correct` totals of each side.
+# The verdict is `gain` when the change won at least 9/10 of the pairs and
+# its median lies beyond the parent's interquartile range on the better
+# side, `worse` when its median is worse than the parent's by more than the
+# metric's BENCHMARK.json bound, and `unresolved` otherwise.  Given an
+# existing FILE and N = 0, it only summarises.
 #
 # Building the benchmark rewrites benchmark/Cargo.lock in each tree; restore
 # it with `git checkout benchmark/Cargo.lock` afterwards.
@@ -77,8 +81,8 @@ jq -rs --slurpfile spec "$spec" '
   def side($s): map(select(.side == $s));
   (side("parent")) as $p | (side("change")) as $c
   | ([$p[].pair] - ([$p[].pair] - [$c[].pair])) as $paired
-  | "metric           parent median [q1, q3]            change median   ratio    wins",
-    ($spec[0].end_to_end[] | .name as $m | .better as $better
+  | "metric           parent median [q1, q3]            change median   ratio    wins   verdict",
+    ($spec[0].end_to_end[] | .name as $m | .better as $better | .bound as $bound
       | ($p | map(.result.metrics[$m].value)) as $pv
       | ($c | map(.result.metrics[$m].value)) as $cv
       | ([$paired[] as $i
@@ -86,11 +90,19 @@ jq -rs --slurpfile spec "$spec" '
           | ($c[] | select(.pair == $i) | .result.metrics[$m].value) as $b
           | select(if $better == "lower" then $b < $a else $b > $a end)] | length) as $wins
       | ($pv | q(0.5)) as $pm | ($cv | q(0.5)) as $cm
-      | "\($m | . + " " * (16 - length)) \($pm | fmt) [\($pv | q(0.25) | fmt), \($pv | q(0.75) | fmt)]"
-        + " " * ([1, 33 - ("\($pm | fmt) [\($pv | q(0.25) | fmt), \($pv | q(0.75) | fmt)]" | length)] | max)
+      | ($pv | q(0.25)) as $q1 | ($pv | q(0.75)) as $q3
+      | (if $pm == null or $cm == null then "-"
+         elif $wins * 10 >= 9 * ($paired | length) and ($paired | length) > 0
+              and (if $better == "lower" then $cm < $q1 else $cm > $q3 end) then "gain"
+         elif (if $better == "lower" then $cm > $pm * (1 + $bound)
+               else $cm < $pm * (1 - $bound) end) then "worse"
+         else "unresolved" end) as $verdict
+      | "\($m | . + " " * (16 - length)) \($pm | fmt) [\($q1 | fmt), \($q3 | fmt)]"
+        + " " * ([1, 33 - ("\($pm | fmt) [\($q1 | fmt), \($q3 | fmt)]" | length)] | max)
         + "\($cm | fmt)" + " " * ([1, 16 - ($cm | fmt | length)] | max)
         + "\(if $pm == null or $pm == 0 or $cm == null then "-" else ($cm / $pm * 1000 | round / 1000 | tostring) end)"
-        + "    \($wins)/\($paired | length) (\($better) is better)"),
+        + "    \($wins)/\($paired | length)" + " " * ([1, 7 - ("\($wins)/\($paired | length)" | length)] | max)
+        + "\($verdict) (\($better) is better)"),
     ("attempted: parent \($p | map(.result.attempted) | add // 0), change \($c | map(.result.attempted) | add // 0)"),
     ("failed:    parent \($p | map(.result.failed) | add // 0), change \($c | map(.result.failed) | add // 0)"),
     ("correct:   parent \($p | map(select(.result.correct)) | length)/\($p | length), change \($c | map(select(.result.correct)) | length)/\($c | length)")

@@ -7,10 +7,16 @@
 //! now key through `mbb_core::canon`, and this test pins the agreement
 //! byte-for-byte so the three can never drift apart again — a drift
 //! would silently split the caches (correct but slow) or, worse, collide
-//! keys across kinds.
+//! keys across kinds.  The server's memo misses and the search key with
+//! `canon::program_key`, which hashes the printer's output as it is
+//! written; it must equal `cache_key` over the rendered text bit for bit.
+
+use std::path::PathBuf;
 
 use mbb::ir::parse::parse;
+use mbb::ir::program::Program;
 use mbb_core::canon;
+use mbb_gen::templates::{generate, Params, FAMILY_COUNT};
 
 const PROGRAM: &str = "array a[64]\n\
                        scalar s = 0  // printed\n\
@@ -72,4 +78,45 @@ fn formatting_noise_collapses_to_one_key() {
     assert_ne!(base, canon::cache_key("optimize-search", "origin", "f", &c));
     assert_ne!(base, canon::cache_key("optimize", "origin/64", "f", &c));
     assert_ne!(base, canon::cache_key("optimize", "origin", "g", &c));
+}
+
+/// Every `tests/corpus` program, then one generated program per template
+/// family.
+fn key_programs() -> Vec<Program> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("tests/corpus exists")
+        .filter_map(|e| {
+            let p = e.ok()?.path();
+            (p.extension()? == "loop").then_some(p)
+        })
+        .collect();
+    files.sort();
+    let mut out: Vec<Program> =
+        files.iter().map(|f| parse(&std::fs::read_to_string(f).unwrap()).unwrap()).collect();
+    assert!(!out.is_empty(), "tests/corpus holds programs");
+    for family in 0..FAMILY_COUNT {
+        out.push(generate(Params { family, n: 10, k: 3, detail: 0x5eed + u64::from(family) }, 1));
+    }
+    out
+}
+
+#[test]
+fn program_key_hashes_exactly_the_canonical_text() {
+    let layouts = [
+        ("report", "origin", "fusion=Greedy;normalize=false"),
+        (mbb_search::engine::SCORE_KIND, "Origin2000 (R10K)", ""),
+        ("", "", ""),
+    ];
+    for p in key_programs() {
+        let text = canon::program(&p);
+        for (kind, machine, flags) in layouts {
+            assert_eq!(
+                canon::program_key(kind, machine, flags, &p),
+                canon::cache_key(kind, machine, flags, &text),
+                "{}: program_key must equal cache_key over the canonical text",
+                p.name
+            );
+        }
+    }
 }
