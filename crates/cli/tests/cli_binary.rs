@@ -278,6 +278,27 @@ fn pipeline_replay_refusals_exit_with_their_kind() {
 }
 
 #[test]
+fn exhaustive_fusion_beyond_its_bound_exits_2() {
+    // 13 independent reductions: one nest more than exhaustive fusion takes.
+    let mut src = String::from("scalar s = 0  // printed\n");
+    for k in 0..13 {
+        src += &format!("array a{k}[64]\nfor i{k} = 0, 63\n  s = (s + a{k}[i{k}])\nend for\n");
+    }
+    let p = std::env::temp_dir().join(format!("mbbc_test_nests13_{}.loop", std::process::id()));
+    std::fs::write(&p, src).unwrap();
+    let file = p.to_str().unwrap();
+    for args in
+        [&["optimize", file, "--exhaustive"][..], &["optimize", file, "--search", "--exhaustive"]]
+    {
+        let out = mbbc().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("at most 12 nests"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
 fn trace_out_writes_one_track_named_by_the_kind() {
     use mbb_obs::json::Json;
     let p = write_temp("traceout");

@@ -12,15 +12,22 @@
 //!   weight-`N` edge triples; the optimum is a minimal hyperedge cut
 //!   (Figure 5, via `mbb-hypergraph`).
 //! * [`exhaustive_min_bandwidth`] / [`exhaustive_min_edge_weighted`] —
-//!   exact optima by enumerating legal partitionings (small programs; the
-//!   general problem is NP-complete, §3.1.3).  These reproduce the
-//!   Figure-4 comparison: the edge-weighted optimum (Gao et al.,
-//!   Kennedy–McKinley) does *not* minimise memory transfer.
+//!   exact optima by enumerating legal partitionings (programs of at most
+//!   [`EXHAUSTIVE_MAX_NESTS`] nests; the general problem is NP-complete,
+//!   §3.1.3).  These reproduce the Figure-4 comparison: the edge-weighted
+//!   optimum (Gao et al., Kennedy–McKinley) does *not* minimise memory
+//!   transfer.
 //! * [`greedy_fusion`] — a polynomial heuristic for the multi-partition
 //!   case: repeatedly merge the legal group pair sharing the most arrays.
+//! * [`recursive_bisection_fusion`] — the §4 heuristic for the same case:
+//!   split every group holding a preventing pair with the minimal cut.
 //!
-//! Costs are computed by [`total_distinct_arrays`] (the paper's objective)
-//! and [`cross_partition_edge_weight`] (the classical objective), so every
+//! Two utilities serve every strategy here and the search in
+//! `mbb-search`: [`for_each_partition`] is the one walk over the set
+//! partitions of the nests, and [`reorder_topologically`] the one
+//! dependence order of a partition's groups.  Costs are computed by
+//! [`total_distinct_arrays`] (the paper's objective) and
+//! [`cross_partition_edge_weight`] (the classical objective), so every
 //! strategy can be scored under both.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -75,6 +82,14 @@ impl FusionGraph {
         let key = (a.min(b), a.max(b));
         !self.preventing.contains(&key)
     }
+
+    /// The first fusion-preventing pair `(a, b)`, `a < b`, inside `group`.
+    fn prevented_pair(&self, group: &[usize]) -> Option<(usize, usize)> {
+        group.iter().enumerate().find_map(|(i, &a)| {
+            let b = group[i + 1..].iter().copied().find(|&b| !self.fusible(a, b))?;
+            Some((a.min(b), a.max(b)))
+        })
+    }
 }
 
 /// An ordered sequence of fusible groups (nest indices).
@@ -101,14 +116,20 @@ impl Partitioning {
 
     /// Group index of each nest.
     pub fn group_of(&self, n: usize) -> Vec<usize> {
-        let mut g = vec![usize::MAX; n];
-        for (gi, group) in self.groups.iter().enumerate() {
-            for &k in group {
-                g[k] = gi;
-            }
-        }
-        g
+        group_index(&self.groups, n)
     }
+}
+
+/// Group index of each of `n` nests among `groups`; `usize::MAX` for a
+/// nest in none.
+fn group_index(groups: &[Vec<usize>], n: usize) -> Vec<usize> {
+    let mut g = vec![usize::MAX; n];
+    for (gi, group) in groups.iter().enumerate() {
+        for &k in group {
+            g[k] = gi;
+        }
+    }
+    g
 }
 
 /// Why a partitioning is illegal for a fusion graph.
@@ -134,12 +155,8 @@ pub fn check_legal(graph: &FusionGraph, p: &Partitioning) -> Result<(), Partitio
             }
             seen[k] = true;
         }
-        for (i, &a) in g.iter().enumerate() {
-            for &b in &g[i + 1..] {
-                if !graph.fusible(a, b) {
-                    return Err(PartitionError::PreventedPair(a.min(b), a.max(b)));
-                }
-            }
+        if let Some((a, b)) = graph.prevented_pair(g) {
+            return Err(PartitionError::PreventedPair(a, b));
         }
     }
     if !seen.iter().all(|&s| s) {
@@ -188,7 +205,7 @@ pub fn cross_partition_edge_weight(graph: &FusionGraph, p: &Partitioning) -> u64
 /// array over the nests touching it, plus, per dependence `src → dst`, the
 /// three weight-`N` enforcement edges `{s, src}`, `{src, dst}`, `{dst, t}`
 /// that make any dependence-violating cut non-minimal.
-pub fn fusion_hypergraph(graph: &FusionGraph, s: usize, t: usize) -> (Hypergraph, u64) {
+pub fn fusion_hypergraph(graph: &FusionGraph, s: usize, t: usize) -> Hypergraph {
     let mut all_arrays: BTreeSet<ArrayId> = BTreeSet::new();
     for set in &graph.arrays_of {
         all_arrays.extend(set);
@@ -200,7 +217,6 @@ pub fn fusion_hypergraph(graph: &FusionGraph, s: usize, t: usize) -> (Hypergraph
             (0..graph.n).filter(|&k| graph.arrays_of[k].contains(&arr)).collect();
         hg.add_edge(HyperEdge::weighted(pins, 1));
     }
-    let mut dep_count = 0u64;
     for &(src, dst) in &graph.deps {
         // A dependence between the terminals themselves is already decided
         // by the partition order; edges between a terminal and itself would
@@ -208,9 +224,8 @@ pub fn fusion_hypergraph(graph: &FusionGraph, s: usize, t: usize) -> (Hypergraph
         hg.add_edge(HyperEdge::weighted([s, src], heavy));
         hg.add_edge(HyperEdge::weighted([src, dst], heavy));
         hg.add_edge(HyperEdge::weighted([dst, t], heavy));
-        dep_count += 1;
     }
-    (hg, heavy * dep_count)
+    hg
 }
 
 /// The polynomial two-partitioning algorithm: given the fusion-preventing
@@ -225,11 +240,10 @@ pub fn two_partition_min_bandwidth(
     s: usize,
     t: usize,
 ) -> Result<(Partitioning, u64), PartitionError> {
-    let (hg, dep_baseline) = fusion_hypergraph(graph, s, t);
-    let cut = min_hyperedge_cut(&hg, s, t);
-    // Every legal partitioning pays exactly `heavy` per dependence; any
-    // violation pays more, so a legal minimum survives whenever one exists.
-    let _array_cut = cut.cut_weight.saturating_sub(dep_baseline);
+    // Every legal partitioning cuts exactly one `heavy` edge per
+    // dependence; any violation cuts more, so a legal minimum survives
+    // whenever one exists.
+    let cut = min_hyperedge_cut(&fusion_hypergraph(graph, s, t), s, t);
     let mut first: Vec<usize> = cut.side_s.iter().copied().collect();
     let mut second: Vec<usize> = cut.side_t.iter().copied().collect();
     first.sort_unstable();
@@ -240,99 +254,60 @@ pub fn two_partition_min_bandwidth(
     Ok((p, cost))
 }
 
-/// Enumerates every legal partitioning of a small fusion graph (restricted
-/// growth strings, ≤ 12 nests) and returns the minimum under `cost`.
+/// The most nests the exhaustive solvers accept: Bell(12) = 4,213,597
+/// partitions, a few seconds of enumeration.
+pub const EXHAUSTIVE_MAX_NESTS: usize = 12;
+
+/// Visits every set partition of `0..n` once, in restricted-growth order:
+/// each node joins every existing group in turn, then opens a new one.
+/// Members ascend within a group and groups are listed by first member.
+/// Only the partition being visited exists at any time, so the walk over
+/// Bell(n) partitions needs O(n) memory.
+pub fn for_each_partition(n: usize, mut visit: impl FnMut(&[Vec<usize>])) {
+    fn place<F: FnMut(&[Vec<usize>])>(
+        node: usize,
+        n: usize,
+        groups: &mut Vec<Vec<usize>>,
+        visit: &mut F,
+    ) {
+        if node == n {
+            visit(groups);
+            return;
+        }
+        for g in 0..groups.len() {
+            groups[g].push(node);
+            place(node + 1, n, groups, visit);
+            groups[g].pop();
+        }
+        groups.push(vec![node]);
+        place(node + 1, n, groups, visit);
+        groups.pop();
+    }
+    place(0, n, &mut Vec::new(), &mut visit);
+}
+
+/// Walks every partitioning of a fusion graph of at most
+/// [`EXHAUSTIVE_MAX_NESTS`] nests and returns the first legal one of
+/// minimal `cost`, its groups in dependence order.
 fn exhaustive_best(
     graph: &FusionGraph,
     cost: impl Fn(&FusionGraph, &Partitioning) -> u64,
 ) -> (Partitioning, u64) {
-    assert!(graph.n <= 12, "exhaustive search is exponential; too many nests");
-    if graph.n == 0 {
-        let none = Partitioning::unfused(0);
-        let c = cost(graph, &none);
-        return (none, c);
-    }
-    let mut assign = vec![0usize; graph.n];
+    assert!(graph.n <= EXHAUSTIVE_MAX_NESTS, "exhaustive search is exponential; too many nests");
     let mut best: Option<(Partitioning, u64)> = None;
-
-    fn groups_from(assign: &[usize]) -> Vec<Vec<usize>> {
-        let k = assign.iter().copied().max().unwrap_or(0) + 1;
-        let mut groups = vec![Vec::new(); k];
-        for (node, &g) in assign.iter().enumerate() {
-            groups[g].push(node);
-        }
-        groups
-    }
-
-    /// Orders groups topologically w.r.t. dependences; `None` when cyclic.
-    fn order_groups(graph: &FusionGraph, groups: Vec<Vec<usize>>) -> Option<Partitioning> {
-        let k = groups.len();
-        let mut group_of = vec![0usize; graph.n];
-        for (gi, g) in groups.iter().enumerate() {
-            for &n in g {
-                group_of[n] = gi;
-            }
-        }
-        let mut succ = vec![BTreeSet::new(); k];
-        let mut indeg = vec![0usize; k];
-        for &(s, d) in &graph.deps {
-            let (gs, gd) = (group_of[s], group_of[d]);
-            if gs != gd && succ[gs].insert(gd) {
-                indeg[gd] += 1;
-            }
-        }
-        let mut order = Vec::with_capacity(k);
-        let mut ready: Vec<usize> = (0..k).filter(|&g| indeg[g] == 0).collect();
-        while let Some(g) = ready.pop() {
-            order.push(g);
-            for &nx in &succ[g] {
-                indeg[nx] -= 1;
-                if indeg[nx] == 0 {
-                    ready.push(nx);
-                }
-            }
-        }
-        if order.len() != k {
-            return None;
-        }
-        Some(Partitioning { groups: order.into_iter().map(|g| groups[g].clone()).collect() })
-    }
-
-    fn recurse(
-        graph: &FusionGraph,
-        cost: &impl Fn(&FusionGraph, &Partitioning) -> u64,
-        assign: &mut Vec<usize>,
-        node: usize,
-        max_used: usize,
-        best: &mut Option<(Partitioning, u64)>,
-    ) {
-        if node == graph.n {
-            let groups = groups_from(assign);
-            // Within-group fusibility.
-            for g in &groups {
-                for (i, &a) in g.iter().enumerate() {
-                    for &b in &g[i + 1..] {
-                        if !graph.fusible(a, b) {
-                            return;
-                        }
-                    }
-                }
-            }
-            if let Some(p) = order_groups(graph, groups) {
-                let c = cost(graph, &p);
-                if best.as_ref().map(|&(_, bc)| c < bc).unwrap_or(true) {
-                    *best = Some((p, c));
-                }
-            }
+    for_each_partition(graph.n, |groups| {
+        // A group holding a preventing pair is illegal in any order, so it
+        // is rejected before the groups are ordered.
+        if groups.iter().any(|g| graph.prevented_pair(g).is_some()) {
             return;
         }
-        for g in 0..=max_used.min(node) {
-            assign[node] = g;
-            recurse(graph, cost, assign, node + 1, max_used.max(g + 1), best);
+        if let Some(p) = reorder_topologically(graph, groups) {
+            let c = cost(graph, &p);
+            if best.as_ref().is_none_or(|&(_, bc)| c < bc) {
+                best = Some((p, c));
+            }
         }
-    }
-
-    recurse(graph, &cost, &mut assign, 0, 0, &mut best);
+    });
     best.expect("the unfused partitioning is always legal")
 }
 
@@ -354,7 +329,7 @@ pub fn exhaustive_min_edge_weighted(graph: &FusionGraph) -> (Partitioning, u64) 
 pub fn greedy_fusion(graph: &FusionGraph) -> Partitioning {
     let mut p = Partitioning::unfused(graph.n);
     loop {
-        let mut best: Option<(u64, usize, usize)> = None;
+        let mut best: Option<(u64, Partitioning)> = None;
         for gi in 0..p.groups.len() {
             for gj in (gi + 1)..p.groups.len() {
                 // Benefit of merging: arrays counted twice today that would
@@ -368,45 +343,35 @@ pub fn greedy_fusion(graph: &FusionGraph) -> Partitioning {
                     continue;
                 }
                 // Candidate merge must be legal.
-                let mut merged = Vec::new();
-                for (g, group) in p.groups.iter().enumerate() {
-                    if g == gi {
-                        let mut m = group.clone();
-                        m.extend(&p.groups[gj]);
-                        m.sort_unstable();
-                        merged.push(m);
-                    } else if g != gj {
-                        merged.push(group.clone());
-                    }
-                }
-                let candidate = Partitioning { groups: merged };
-                let candidate = match reorder_topologically(graph, candidate) {
-                    Some(c) => c,
-                    None => continue,
+                let Some(candidate) = merge_groups(graph, &p.groups, gi, gj) else {
+                    continue;
                 };
                 if check_legal(graph, &candidate).is_ok()
-                    && best.map(|(b, _, _)| benefit > b).unwrap_or(true)
+                    && best.as_ref().is_none_or(|(b, _)| benefit > *b)
                 {
-                    best = Some((benefit, gi, gj));
+                    best = Some((benefit, candidate));
                 }
             }
         }
-        let Some((_, gi, gj)) = best else { break };
-        let mut merged = Vec::new();
-        for (g, group) in p.groups.iter().enumerate() {
-            if g == gi {
-                let mut m = group.clone();
-                m.extend(&p.groups[gj]);
-                m.sort_unstable();
-                merged.push(m);
-            } else if g != gj {
-                merged.push(group.clone());
-            }
-        }
-        p = reorder_topologically(graph, Partitioning { groups: merged })
-            .expect("merge was checked legal");
+        let Some((_, merged)) = best else { break };
+        p = merged;
     }
     p
+}
+
+/// `groups` with group `gj` merged into group `gi < gj`, in dependence
+/// order; `None` when the merge closes a dependence cycle.
+fn merge_groups(
+    graph: &FusionGraph,
+    groups: &[Vec<usize>],
+    gi: usize,
+    gj: usize,
+) -> Option<Partitioning> {
+    let mut merged = groups.to_vec();
+    let moved = merged.remove(gj);
+    merged[gi].extend(moved);
+    merged[gi].sort_unstable();
+    reorder_topologically(graph, &merged)
 }
 
 /// The paper's §4 suggestion: Kennedy–McKinley's recursive-bisection
@@ -470,18 +435,21 @@ pub fn recursive_bisection_fusion(graph: &FusionGraph) -> Partitioning {
     // The sequence must respect dependences; a topological reorder
     // restores a legal order, and any residual illegality (possible with
     // pathological constraint sets) falls back to no fusion at all.
-    let p = Partitioning { groups };
-    match reorder_topologically(graph, p) {
+    match reorder_topologically(graph, &groups) {
         Some(p) if check_legal(graph, &p).is_ok() => p,
         _ => Partitioning::unfused(graph.n),
     }
 }
 
-/// Reorders groups into a dependence-respecting sequence (stable w.r.t.
-/// smallest member); `None` when the condensation is cyclic.
-fn reorder_topologically(graph: &FusionGraph, p: Partitioning) -> Option<Partitioning> {
-    let k = p.groups.len();
-    let group_of = p.group_of(graph.n);
+/// Orders `groups`, a partition of the graph's nests, into a
+/// dependence-respecting sequence: of the groups whose predecessors are
+/// all placed, the one with the smallest member goes next.  The order
+/// depends only on the set of groups, never on how they are listed, so an
+/// ordered partitioning is its own fixed point.  `None` when the groups'
+/// dependences form a cycle.
+pub fn reorder_topologically(graph: &FusionGraph, groups: &[Vec<usize>]) -> Option<Partitioning> {
+    let k = groups.len();
+    let group_of = group_index(groups, graph.n);
     let mut succ = vec![BTreeSet::new(); k];
     let mut indeg = vec![0usize; k];
     for &(s, d) in &graph.deps {
@@ -490,25 +458,23 @@ fn reorder_topologically(graph: &FusionGraph, p: Partitioning) -> Option<Partiti
             indeg[gd] += 1;
         }
     }
+    let smallest = |g: usize| groups[g].iter().copied().min().unwrap_or(0);
     let mut order = Vec::with_capacity(k);
-    let mut ready: BTreeSet<(usize, usize)> = (0..k)
-        .filter(|&g| indeg[g] == 0)
-        .map(|g| (*p.groups[g].first().unwrap_or(&0), g))
-        .collect();
-    while let Some(&(key, g)) = ready.iter().next() {
-        ready.remove(&(key, g));
+    let mut ready: BTreeSet<(usize, usize)> =
+        (0..k).filter(|&g| indeg[g] == 0).map(|g| (smallest(g), g)).collect();
+    while let Some((_, g)) = ready.pop_first() {
         order.push(g);
         for &nx in &succ[g] {
             indeg[nx] -= 1;
             if indeg[nx] == 0 {
-                ready.insert((*p.groups[nx].first().unwrap_or(&0), nx));
+                ready.insert((smallest(nx), nx));
             }
         }
     }
     if order.len() != k {
         return None;
     }
-    Some(Partitioning { groups: order.into_iter().map(|g| p.groups[g].clone()).collect() })
+    Some(Partitioning { groups: order.into_iter().map(|g| groups[g].clone()).collect() })
 }
 
 /// Applies a partitioning to the program (delegates to
@@ -631,6 +597,61 @@ mod tests {
         check_legal(&g, &p).unwrap();
         let cost = total_distinct_arrays(&g, &p);
         assert!(cost <= 8, "greedy should get close to 7, got {cost}");
+    }
+
+    #[test]
+    fn the_walk_visits_every_set_partition_once_in_first_member_order() {
+        const BELL: [usize; 9] = [1, 1, 2, 5, 15, 52, 203, 877, 4140];
+        for (n, &bell) in BELL.iter().enumerate() {
+            let mut visited = Vec::new();
+            for_each_partition(n, |groups| {
+                let mut members = groups.concat();
+                members.sort_unstable();
+                assert_eq!(members, (0..n).collect::<Vec<_>>(), "not a partition: {groups:?}");
+                assert!(groups.iter().all(|g| g.windows(2).all(|w| w[0] < w[1])), "{groups:?}");
+                assert!(groups.windows(2).all(|w| w[0][0] < w[1][0]), "{groups:?}");
+                visited.push(groups.to_vec());
+            });
+            let distinct: BTreeSet<_> = visited.iter().collect();
+            assert_eq!((visited.len(), distinct.len()), (bell, bell), "n = {n}");
+            // Restricted-growth order: everything fused first, nothing last.
+            if n > 0 {
+                assert_eq!(visited.first(), Some(&Partitioning::all_fused(n).groups));
+                assert_eq!(visited.last(), Some(&Partitioning::unfused(n).groups));
+            }
+        }
+    }
+
+    #[test]
+    fn the_group_order_depends_only_on_the_groups() {
+        let g = figure4_graph();
+        let ordered = vec![vec![0, 1, 2, 3], vec![4], vec![5]];
+        for listed in [vec![vec![5], vec![4], vec![0, 1, 2, 3]], ordered.clone()] {
+            let p = reorder_topologically(&g, &listed).unwrap();
+            assert_eq!(p.groups, ordered);
+        }
+        // 0 → 1 → 2 with 0 and 2 in one group is a cycle.
+        let chain = FusionGraph {
+            n: 3,
+            arrays_of: vec![BTreeSet::new(); 3],
+            deps: vec![(0, 1), (1, 2)],
+            preventing: BTreeSet::new(),
+        };
+        assert_eq!(reorder_topologically(&chain, &[vec![0, 2], vec![1]]), None);
+    }
+
+    #[test]
+    fn exhaustive_lists_independent_groups_in_program_order() {
+        // Three nests, no shared array, none fusible: only the unfused
+        // partitioning is legal, and it keeps the program's order.
+        let g = FusionGraph {
+            n: 3,
+            arrays_of: (0..3).map(|k| BTreeSet::from([ArrayId(k)])).collect(),
+            deps: vec![],
+            preventing: BTreeSet::from([(0, 1), (0, 2), (1, 2)]),
+        };
+        let (p, cost) = exhaustive_min_bandwidth(&g);
+        assert_eq!((p, cost), (Partitioning::unfused(3), 3));
     }
 
     #[test]

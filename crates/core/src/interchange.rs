@@ -165,6 +165,25 @@ pub fn interchange(
     Ok(out)
 }
 
+/// Every permutation of `0..n`: each permutation of `0..n-1`, in this
+/// order, with `n - 1` inserted at every position from the front, so the
+/// identity comes last.  `perm[k]` is the original level that becomes
+/// level `k`, as in [`interchange`].
+pub fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![vec![]];
+    }
+    let mut out = Vec::new();
+    for rest in permutations(n - 1) {
+        for pos in 0..=rest.len() {
+            let mut p = rest.clone();
+            p.insert(pos, n - 1);
+            out.push(p);
+        }
+    }
+    out
+}
+
 /// Tries every legal permutation of the nest's loops, measures the memory
 /// balance of the whole program on `machine` for each, and returns the
 /// best program with its `(permutation, memory bytes/flop)`.
@@ -175,20 +194,6 @@ pub fn auto_interchange(
     nest_idx: usize,
     machine: &MachineModel,
 ) -> (Program, Vec<usize>, f64) {
-    fn permutations(n: usize) -> Vec<Vec<usize>> {
-        if n == 0 {
-            return vec![vec![]];
-        }
-        let mut out = Vec::new();
-        for rest in permutations(n - 1) {
-            for pos in 0..=rest.len() {
-                let mut p = rest.clone();
-                p.insert(pos, n - 1);
-                out.push(p);
-            }
-        }
-        out
-    }
     let depth = prog.nests[nest_idx].loops.len();
     assert!(depth <= 4, "auto_interchange enumerates depth! orders");
     let mut best: Option<(Program, Vec<usize>, f64)> = None;
@@ -275,6 +280,16 @@ mod tests {
         let p = b.finish();
         let q = interchange(&p, 0, &[1, 0]).unwrap();
         verify_equivalent(&p, &q, 0.0).unwrap();
+    }
+
+    #[test]
+    fn permutations_list_every_order_once_with_the_identity_last() {
+        assert_eq!(permutations(2), vec![vec![1, 0], vec![0, 1]]);
+        let three = permutations(3);
+        let distinct: std::collections::BTreeSet<_> = three.iter().collect();
+        assert_eq!((three.len(), distinct.len()), (6, 6));
+        assert_eq!(three[0], vec![2, 1, 0]);
+        assert_eq!(three.last(), Some(&vec![0, 1, 2]));
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub enum FusionStrategy {
     /// Kennedy–McKinley recursive bisection, with the paper's hyperedge
     /// minimal cut performing each bisection (§4).
     Bisection,
-    /// Exhaustive optimum (small programs only, ≤ 12 nests).
+    /// Exhaustive optimum (programs of at most
+    /// [`EXHAUSTIVE_MAX_NESTS`](crate::fusion::EXHAUSTIVE_MAX_NESTS) nests).
     Exhaustive,
     /// Skip fusion.
     None,

@@ -25,6 +25,7 @@ use mbb_gen::fuzz::{self, Config, Counterexample};
 use mbb_gen::search_sweep::{search_sweep, SearchSweepConfig};
 use mbb_gen::sweep::{sweep, SweepConfig};
 use mbb_gen::templates::{self, Params};
+use mbb_gen::{parse_u64, resolve_seed};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,23 +94,8 @@ impl Args {
     }
 }
 
-/// Accepts decimal and `0x…` hex (replay commands print detail in hex).
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
 fn fuzz_seed(args: &Args) -> Result<u64, String> {
-    if let Some(v) = args.get("--seed") {
-        return parse_u64(v).ok_or_else(|| format!("--seed wants a number, got `{v}`"));
-    }
-    if let Ok(v) = std::env::var("GEN_SEED") {
-        return parse_u64(&v).ok_or_else(|| format!("GEN_SEED wants a number, got `{v}`"));
-    }
-    Ok(fuzz::DEFAULT_SEED)
+    resolve_seed(args.get("--seed"), fuzz::DEFAULT_SEED)
 }
 
 fn config_from(args: &Args) -> Result<Config, String> {

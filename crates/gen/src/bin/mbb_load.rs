@@ -31,6 +31,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use mbb_gen::load::{run_tier, LoadConfig};
+use mbb_gen::{parse_u64, resolve_seed};
 
 fn usage() -> &'static str {
     "usage: mbb-load (--addr HOST:PORT | --tier A,B,C | --spawn) [options]\n\
@@ -118,25 +119,6 @@ impl Args {
     }
 }
 
-/// Accepts decimal and `0x…` hex, matching the `gen` binary.
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
-
-fn storm_seed(args: &Args) -> Result<u64, String> {
-    if let Some(v) = args.get("--seed") {
-        return parse_u64(v).ok_or_else(|| format!("--seed wants a number, got `{v}`"));
-    }
-    if let Ok(v) = std::env::var("GEN_SEED") {
-        return parse_u64(&v).ok_or_else(|| format!("GEN_SEED wants a number, got `{v}`"));
-    }
-    Ok(LoadConfig::default().seed)
-}
-
 fn load_config(args: &Args) -> Result<LoadConfig, String> {
     let d = LoadConfig::default();
     let clients = args.usize_or("--clients", d.clients)?;
@@ -144,7 +126,7 @@ fn load_config(args: &Args) -> Result<LoadConfig, String> {
         return Err("--clients must be at least 1".to_string());
     }
     Ok(LoadConfig {
-        seed: storm_seed(args)?,
+        seed: resolve_seed(args.get("--seed"), d.seed)?,
         clients,
         requests: args.usize_or("--requests", d.requests)?,
         storm_ms: args.u64_or("--storm-ms", d.storm_ms)?,

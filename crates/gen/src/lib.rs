@@ -34,7 +34,9 @@
 //! ```
 //!
 //! Everything is seeded splitmix64: the same seed always reproduces the
-//! same programs, and every failure prints the exact replay command.
+//! same programs, and every failure prints the exact replay command.  Both
+//! binaries read numbers with [`parse_u64`] and their seed with
+//! [`resolve_seed`].
 
 pub mod fuzz;
 pub mod load;
@@ -46,3 +48,50 @@ pub use fuzz::{check, fuzz, Config, Counterexample, Failure, FailureKind};
 pub use search_sweep::{search_sweep, SearchSweepConfig};
 pub use sweep::{sweep, SweepConfig};
 pub use templates::{generate, Params};
+
+/// Parses a number given in decimal or as `0x…` hex (replay commands
+/// print details in hex).
+pub fn parse_u64(s: &str) -> Option<u64> {
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+/// The seed a run uses: the `--seed` value when one was given, else the
+/// `GEN_SEED` environment variable (CI lanes set it to the run id), else
+/// `default`.
+pub fn resolve_seed(flag: Option<&str>, default: u64) -> Result<u64, String> {
+    if let Some(v) = flag {
+        return parse_u64(v).ok_or_else(|| format!("--seed wants a number, got `{v}`"));
+    }
+    if let Ok(v) = std::env::var("GEN_SEED") {
+        return parse_u64(&v).ok_or_else(|| format!("GEN_SEED wants a number, got `{v}`"));
+    }
+    Ok(default)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn numbers_parse_in_decimal_and_hex() {
+        assert_eq!(parse_u64("42"), Some(42));
+        assert_eq!(parse_u64("0x2a"), Some(42));
+        assert_eq!(parse_u64("0X603E09006EA32459"), Some(0x603e_0900_6ea3_2459));
+        for bad in ["", "0x", "-1", "4x2", "0xg", "18446744073709551616"] {
+            assert_eq!(parse_u64(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_seed_flag_wins_and_a_bad_one_is_named() {
+        assert_eq!(resolve_seed(Some("0x10"), 7), Ok(16));
+        assert_eq!(
+            resolve_seed(Some("seven"), 7),
+            Err("--seed wants a number, got `seven`".into())
+        );
+    }
+}

@@ -82,11 +82,6 @@ impl Hypergraph {
         self.edges.iter().map(|e| e.weight).sum()
     }
 
-    /// Edge indices incident to `node`.
-    pub fn incident(&self, node: usize) -> Vec<usize> {
-        self.edges.iter().enumerate().filter(|(_, e)| e.contains(node)).map(|(k, _)| k).collect()
-    }
-
     /// The set of nodes connected to `start` through hyperedges not in
     /// `removed` — the paper's path relation ("consecutive edges connect
     /// intersecting groups of nodes").
@@ -163,12 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn incident_and_weight() {
+    fn total_weight_sums_the_edges() {
         let mut hg = Hypergraph::new(4);
         hg.add_edge(HyperEdge::weighted([0, 1], 3));
         hg.add_unit([1, 2]);
-        assert_eq!(hg.incident(1), vec![0, 1]);
-        assert_eq!(hg.incident(3), Vec::<usize>::new());
         assert_eq!(hg.total_weight(), 4);
     }
 }

@@ -12,15 +12,16 @@
 //!   its intersection graph, find a minimal *vertex* cut by node splitting
 //!   and max-flow, and map it back to a hyperedge cut plus the two
 //!   partitions;
-//! * [`kway`] — recursive-bisection and greedy heuristics for the k-way
-//!   (multi-partition) case, which §3.1.3 proves NP-complete;
 //! * [`reduction`] — the §3.1.3 NP-hardness reduction from k-way cut to
 //!   bandwidth-minimal fusion, as executable code;
 //! * [`oracle`] — exhaustive optima for small instances, used by the
-//!   property tests to verify the polynomial algorithm.
+//!   property tests to verify the polynomial algorithm and the reduction.
+//!
+//! The multi-partition case has one home, `mbb_core::fusion`: its
+//! recursive bisection calls [`mincut`] for every split, and its greedy
+//! merge and exhaustive lattice walk need no hypergraph.
 
 pub mod graph;
-pub mod kway;
 pub mod maxflow;
 pub mod mincut;
 pub mod oracle;

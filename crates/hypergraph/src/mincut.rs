@@ -50,30 +50,17 @@ pub struct CutResult {
 /// # Panics
 /// Panics if `s == t` or either is out of range.
 pub fn min_hyperedge_cut(hg: &Hypergraph, s: usize, t: usize) -> CutResult {
-    min_hyperedge_cut_sets(hg, &[s], &[t])
-}
-
-/// Generalised form: separates every node in `sources` from every node in
-/// `sinks` (used by the recursive-bisection k-way heuristic).
-///
-/// # Panics
-/// Panics if the sets intersect, are empty, or contain out-of-range nodes.
-pub fn min_hyperedge_cut_sets(hg: &Hypergraph, sources: &[usize], sinks: &[usize]) -> CutResult {
-    assert!(!sources.is_empty() && !sinks.is_empty(), "need at least one source and sink");
-    for &n in sources.iter().chain(sinks) {
-        assert!(n < hg.num_nodes, "terminal out of range");
-    }
-    assert!(sources.iter().all(|s| !sinks.contains(s)), "sources and sinks must be disjoint");
+    assert!(s < hg.num_nodes && t < hg.num_nodes, "terminal out of range");
+    assert_ne!(s, t, "the terminals must be distinct");
 
     let ne = hg.edges.len();
     // Flow-network node ids: hyperedge e → (2e, 2e+1); then s', t'.
     let sp = 2 * ne;
     let tp = 2 * ne + 1;
     let mut net = FlowNetwork::new(2 * ne + 2);
-    // Split arcs carry the hyperedge weights; remember their arc indices.
-    let mut split_arc = Vec::with_capacity(ne);
+    // Split arcs carry the hyperedge weights.
     for (e, edge) in hg.edges.iter().enumerate() {
-        split_arc.push(net.add_arc(2 * e, 2 * e + 1, edge.weight));
+        net.add_arc(2 * e, 2 * e + 1, edge.weight);
     }
     // Intersection adjacencies: infinite capacity both ways.
     for e1 in 0..ne {
@@ -86,10 +73,10 @@ pub fn min_hyperedge_cut_sets(hg: &Hypergraph, sources: &[usize], sinks: &[usize
     }
     // End nodes.
     for (e, edge) in hg.edges.iter().enumerate() {
-        if sources.iter().any(|&s| edge.contains(s)) {
+        if edge.contains(s) {
             net.add_arc(sp, 2 * e, INF);
         }
-        if sinks.iter().any(|&t| edge.contains(t)) {
+        if edge.contains(t) {
             net.add_arc(2 * e + 1, tp, INF);
         }
     }
@@ -103,15 +90,11 @@ pub fn min_hyperedge_cut_sets(hg: &Hypergraph, sources: &[usize], sinks: &[usize
         cut_weight,
         "cut weight must equal the max-flow value"
     );
-    let _ = split_arc;
 
     let removed: BTreeSet<usize> = cut_edges.iter().copied().collect();
-    let mut side_s = BTreeSet::new();
-    for &s in sources {
-        side_s.extend(hg.component(s, &removed));
-    }
+    let side_s = hg.component(s, &removed);
     let side_t: BTreeSet<usize> = (0..hg.num_nodes).filter(|n| !side_s.contains(n)).collect();
-    debug_assert!(sinks.iter().all(|t| side_t.contains(t)), "cut must separate");
+    debug_assert!(side_t.contains(&t), "cut must separate");
     CutResult { cut_edges, cut_weight, side_s, side_t }
 }
 
@@ -198,23 +181,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn multi_sink_cut() {
-        // Path s - a - t1, s - b - t2: separate s from both sinks.
-        let mut hg = Hypergraph::new(5);
-        hg.add_unit([0, 1]);
-        hg.add_unit([1, 2]); // t1 = 2
-        hg.add_unit([0, 3]);
-        hg.add_unit([3, 4]); // t2 = 4
-        let cut = min_hyperedge_cut_sets(&hg, &[0], &[2, 4]);
-        assert_eq!(cut.cut_weight, 2);
-        assert!(cut.side_s.contains(&0));
-        assert!(!cut.side_s.contains(&2) && !cut.side_s.contains(&4));
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
+    #[should_panic(expected = "distinct")]
     fn overlapping_terminals_panic() {
         let hg = Hypergraph::new(2);
-        let _ = min_hyperedge_cut_sets(&hg, &[0], &[0]);
+        let _ = min_hyperedge_cut(&hg, 0, 0);
     }
 }

@@ -4,8 +4,9 @@
 //! 2-partitions separating `s` from `t`, of the total weight of hyperedges
 //! spanning both sides.  Enumerating the `2^(n−2)` partitions gives an
 //! exact oracle for instances small enough, which the property tests use to
-//! verify the polynomial Figure-5 algorithm, and the k-way generalisation
-//! verifies the heuristics' validity (and measures their gap).
+//! verify the polynomial Figure-5 algorithm.  The k-way generalisations
+//! check the §3.1.3 reduction in [`crate::reduction`]: an optimal fusion of
+//! the reduced instance costs the edge weight plus a minimal k-way cut.
 
 use crate::graph::Hypergraph;
 

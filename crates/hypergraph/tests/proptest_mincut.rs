@@ -5,9 +5,8 @@
 use std::collections::BTreeSet;
 
 use mbb_hypergraph::graph::{HyperEdge, Hypergraph};
-use mbb_hypergraph::kway::{kway_cut_greedy, kway_cut_recursive};
 use mbb_hypergraph::mincut::min_hyperedge_cut;
-use mbb_hypergraph::oracle::{exact_kway_cut_weight, exact_min_cut_weight};
+use mbb_hypergraph::oracle::exact_min_cut_weight;
 use proptest::prelude::*;
 
 /// Strategy: a random hypergraph with `n ∈ [2, 8]` nodes and up to 10
@@ -56,37 +55,6 @@ proptest! {
         prop_assert!(cut.side_t.contains(&t));
         prop_assert!(cut.side_s.is_disjoint(&cut.side_t));
         prop_assert_eq!(cut.side_s.len() + cut.side_t.len(), hg.num_nodes);
-    }
-
-    /// Recursive-bisection k-way cuts are valid and no better than the
-    /// exhaustive optimum (and at most 2× worse on these small cases).
-    #[test]
-    fn kway_recursive_valid_and_bounded(hg in arb_hypergraph()) {
-        prop_assume!(hg.num_nodes >= 3);
-        let terminals = [0, 1, hg.num_nodes - 1];
-        prop_assume!(terminals[1] != terminals[2]);
-        let r = kway_cut_recursive(&hg, &terminals);
-        let removed: BTreeSet<usize> = r.cut_edges.iter().copied().collect();
-        for (a, &ta) in terminals.iter().enumerate() {
-            for &tb in &terminals[a + 1..] {
-                prop_assert!(!hg.connected(ta, tb, &removed));
-            }
-        }
-        let oracle = exact_kway_cut_weight(&hg, &terminals);
-        prop_assert!(r.cut_weight >= oracle);
-        prop_assert!(r.cut_weight <= oracle.saturating_mul(2).max(oracle + 2));
-    }
-
-    /// The greedy baseline also always separates (no optimality claim).
-    #[test]
-    fn kway_greedy_valid(hg in arb_hypergraph()) {
-        prop_assume!(hg.num_nodes >= 3);
-        let terminals = [0, hg.num_nodes - 1];
-        let r = kway_cut_greedy(&hg, &terminals);
-        let removed: BTreeSet<usize> = r.cut_edges.iter().copied().collect();
-        prop_assert!(!hg.connected(terminals[0], terminals[1], &removed));
-        let oracle = exact_kway_cut_weight(&hg, &terminals);
-        prop_assert!(r.cut_weight >= oracle);
     }
 }
 

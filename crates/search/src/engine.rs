@@ -16,13 +16,16 @@
 //!
 //! The fusion lattice is the combinatorial heart of the space (Bell
 //! numbers of partitions).  For programs of ≤ [`ENUMERATE_NESTS`] nests
-//! the candidate partitions are the fully enumerated lattice, which holds
-//! every partition an oracle could return.  Beyond it they come from the
-//! `mbb-hypergraph`-backed oracles: greedy, recursive min-cut bisection,
-//! the exhaustive min-bandwidth optimum on graphs of ≤ 10 nests, and the
-//! all-fused partition.  Candidates are ranked by the paper's static
-//! objective (total distinct arrays, [`total_distinct_arrays`]) and only
-//! the best few ever reach the simulator; the rest are counted in
+//! the candidate partitions are the whole lattice, walked by
+//! [`for_each_partition`] (the walk the exhaustive solver takes), which
+//! holds every partition an oracle could return.  Beyond it they come
+//! from the `mbb_core::fusion` oracles: greedy merging, recursive
+//! min-cut bisection, the exhaustive min-bandwidth optimum on graphs of
+//! ≤ 10 nests, and the all-fused partition.  Every candidate's groups
+//! are put in dependence order by [`reorder_topologically`], the order
+//! every fusion strategy returns.  Candidates are ranked by the paper's
+//! static objective (total distinct arrays, [`total_distinct_arrays`])
+//! and only the best few ever reach the simulator; the rest are counted in
 //! [`SearchTrace::pruned`] along with illegal moves and duplicate
 //! programs (deduplicated by canonical key before scoring).
 //!
@@ -43,9 +46,10 @@ use std::collections::BTreeSet;
 use mbb_core::balance::measure_program_balance;
 use mbb_core::canon;
 use mbb_core::fusion::{
-    build_fusion_graph, check_legal, exhaustive_min_bandwidth, greedy_fusion,
-    recursive_bisection_fusion, total_distinct_arrays, FusionGraph, Partitioning,
+    build_fusion_graph, check_legal, exhaustive_min_bandwidth, for_each_partition, greedy_fusion,
+    recursive_bisection_fusion, reorder_topologically, total_distinct_arrays, Partitioning,
 };
+use mbb_core::interchange::permutations;
 use mbb_core::mutate::{self, Mutation};
 use mbb_core::pipeline::{self, OptimizeOptions};
 use mbb_core::spec::{apply_move, Candidate, Move};
@@ -220,87 +224,6 @@ fn state_cmp(a: &State, b: &State) -> Ordering {
     view_cmp(&a.view, &b.view).then_with(|| a.tie.cmp(&b.tie)).then_with(|| a.spec.cmp(&b.spec))
 }
 
-/// All permutations of `0..n`, in a fixed deterministic order.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for rest in permutations(n - 1) {
-        for pos in 0..=rest.len() {
-            let mut p = rest.clone();
-            p.insert(pos, n - 1);
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// Orders partition groups topologically w.r.t. the fusion graph's
-/// dependences, deterministically (ready groups by smallest member).
-/// `None` when the grouping induces a cycle.
-fn order_groups(graph: &FusionGraph, groups: Vec<Vec<usize>>) -> Option<Vec<Vec<usize>>> {
-    let k = groups.len();
-    let mut group_of = vec![0usize; graph.n];
-    for (gi, g) in groups.iter().enumerate() {
-        for &n in g {
-            group_of[n] = gi;
-        }
-    }
-    let mut succ = vec![BTreeSet::new(); k];
-    let mut indeg = vec![0usize; k];
-    for &(s, d) in &graph.deps {
-        let (gs, gd) = (group_of[s], group_of[d]);
-        if gs != gd && succ[gs].insert(gd) {
-            indeg[gd] += 1;
-        }
-    }
-    let mut order = Vec::with_capacity(k);
-    let mut ready: BTreeSet<(usize, usize)> = (0..k)
-        .filter(|&g| indeg[g] == 0)
-        .map(|g| (groups[g].iter().copied().min().unwrap_or(0), g))
-        .collect();
-    while let Some(&(key, g)) = ready.iter().next() {
-        ready.remove(&(key, g));
-        order.push(g);
-        for &nx in &succ[g] {
-            indeg[nx] -= 1;
-            if indeg[nx] == 0 {
-                ready.insert((groups[nx].iter().copied().min().unwrap_or(0), nx));
-            }
-        }
-    }
-    if order.len() != k {
-        return None;
-    }
-    Some(order.into_iter().map(|g| groups[g].clone()).collect())
-}
-
-/// Every set partition of `0..n` (restricted growth strings), with
-/// members sorted within groups.
-fn all_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
-    fn recurse(n: usize, assign: &mut Vec<usize>, max_used: usize, out: &mut Vec<Vec<Vec<usize>>>) {
-        let node = assign.len();
-        if node == n {
-            let k = max_used;
-            let mut groups = vec![Vec::new(); k];
-            for (i, &g) in assign.iter().enumerate() {
-                groups[g].push(i);
-            }
-            out.push(groups);
-            return;
-        }
-        for g in 0..=max_used.min(node) {
-            assign.push(g);
-            recurse(n, assign, max_used.max(g + 1), out);
-            assign.pop();
-        }
-    }
-    let mut out = Vec::new();
-    recurse(n, &mut Vec::new(), 0, &mut out);
-    out
-}
-
 /// Candidate fusion partitions for one program: the enumerated lattice on
 /// programs of ≤ [`ENUMERATE_NESTS`] nests, the oracle solutions (greedy,
 /// min-cut bisection, exhaustive optimum on ≤ 10 nests, fully fused)
@@ -316,46 +239,37 @@ fn all_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
 fn fusion_moves(prog: &Program, keep: usize, trace: &mut SearchTrace) -> Vec<Vec<Vec<usize>>> {
     let graph = build_fusion_graph(prog);
     let n = graph.n;
-    let raw: Vec<Vec<Vec<usize>>> = if n <= ENUMERATE_NESTS {
-        all_partitions(n)
+    let mut legal: Vec<(u64, Vec<Vec<usize>>)> = Vec::new();
+    let mut seen: BTreeSet<Vec<Vec<usize>>> = BTreeSet::new();
+    let mut consider = |groups: &[Vec<usize>]| {
+        // The unfused partition is the identity move: not a candidate.
+        if groups.len() == n {
+            return;
+        }
+        let Some(p) = reorder_topologically(&graph, groups) else {
+            trace.pruned += 1;
+            return;
+        };
+        if !seen.insert(p.groups.clone()) {
+            return; // same partition from two oracles: not a prune
+        }
+        if check_legal(&graph, &p).is_err() {
+            trace.pruned += 1;
+            return;
+        }
+        legal.push((total_distinct_arrays(&graph, &p), p.groups));
+    };
+    if n <= ENUMERATE_NESTS {
+        for_each_partition(n, &mut consider);
     } else {
         let mut oracles = vec![greedy_fusion(&graph), recursive_bisection_fusion(&graph)];
         if n <= 10 {
             oracles.push(exhaustive_min_bandwidth(&graph).0);
         }
         oracles.push(Partitioning::all_fused(n));
-        oracles
-            .into_iter()
-            .map(|p| {
-                let mut groups = p.groups;
-                for g in &mut groups {
-                    g.sort_unstable();
-                }
-                groups
-            })
-            .collect()
-    };
-
-    let mut legal: Vec<(u64, Vec<Vec<usize>>)> = Vec::new();
-    let mut seen: BTreeSet<Vec<Vec<usize>>> = BTreeSet::new();
-    for groups in raw {
-        // The unfused partition is the identity move: not a candidate.
-        if groups.len() == n {
-            continue;
+        for p in &oracles {
+            consider(&p.groups);
         }
-        let Some(ordered) = order_groups(&graph, groups) else {
-            trace.pruned += 1;
-            continue;
-        };
-        if !seen.insert(ordered.clone()) {
-            continue; // same partition from two oracles: not a prune
-        }
-        let p = Partitioning { groups: ordered.clone() };
-        if check_legal(&graph, &p).is_err() {
-            trace.pruned += 1;
-            continue;
-        }
-        legal.push((total_distinct_arrays(&graph, &p), ordered));
     }
     // Oracle ranking: simulate only the statically best few.
     legal.sort();
@@ -705,7 +619,8 @@ mod tests {
             if !(2..=ENUMERATE_NESTS).contains(&n) {
                 continue;
             }
-            let lattice = all_partitions(n);
+            let mut lattice = Vec::new();
+            for_each_partition(n, |groups| lattice.push(groups.to_vec()));
             let oracles = [
                 ("greedy", greedy_fusion(&graph)),
                 ("bisection", recursive_bisection_fusion(&graph)),
@@ -714,21 +629,15 @@ mod tests {
             ];
             for (name, part) in oracles {
                 let mut groups = part.groups;
-                for g in &mut groups {
-                    g.sort_unstable();
-                }
                 assert!(
-                    order_groups(&graph, groups.clone()).is_some(),
+                    reorder_topologically(&graph, &groups).is_some(),
                     "{}: the {name} partition {groups:?} has a cycle",
                     p.name
                 );
+                // The lattice lists groups by first member.
                 groups.sort();
                 assert!(
-                    lattice.iter().any(|l| {
-                        let mut l = l.clone();
-                        l.sort();
-                        l == groups
-                    }),
+                    lattice.contains(&groups),
                     "{}: the {name} partition {groups:?} is not enumerated",
                     p.name
                 );

@@ -8,9 +8,11 @@
 //! for any point in that space.  This crate closes the loop: a beam /
 //! branch-and-bound search over replayable transformation sequences,
 //! each candidate scored deterministically by the simulator's balance
-//! model, pruned by the hypergraph fusion oracles, metered by
-//! [`mbb_ir::budget`], and memoised in a sharded single-flight score
-//! cache that concurrent searches share.
+//! model, pruned by the fusion oracles of [`mbb_core::fusion`] (whose
+//! partition walk, group order and, from [`mbb_core::interchange`],
+//! permutation enumerator it shares), metered by [`mbb_ir::budget`], and
+//! memoised in a sharded single-flight score cache that concurrent
+//! searches share.
 //!
 //! * [`cache`] — [`cache::ScoreCache`]: content-addressed scores keyed
 //!   through [`mbb_core::canon`], honest-measurements-only;

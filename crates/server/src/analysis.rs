@@ -11,7 +11,10 @@ use std::fmt::Write as _;
 
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
 use mbb_core::balance::{measure_program_balance, ratios, ProgramBalance};
-use mbb_core::pipeline::{optimize as run_pipeline, verify_equivalent, OptimizeOptions};
+use mbb_core::fusion::EXHAUSTIVE_MAX_NESTS;
+use mbb_core::pipeline::{
+    normalize, optimize as run_pipeline, verify_equivalent, FusionStrategy, OptimizeOptions,
+};
 use mbb_core::profile::{nest_table, nest_table_under, NestTable};
 use mbb_core::regroup::{regroup_all, RegroupAction};
 use mbb_core::spec::Candidate;
@@ -458,9 +461,33 @@ fn regrouped_json(actions: &[RegroupAction]) -> Json {
     }))
 }
 
+/// Refuses, as a bad request, an exhaustive fusion over more than
+/// [`EXHAUSTIVE_MAX_NESTS`] nests, counted as fusion will see them (after
+/// normalisation when it is on), so the exponential walk never starts.
+fn exhaustive_fits(p: &Program, pipeline: &OptimizeOptions) -> Result<(), ServeError> {
+    if pipeline.fusion != FusionStrategy::Exhaustive {
+        return Ok(());
+    }
+    let (nests, when) = if pipeline.normalize {
+        (normalize(p).nests.len(), " after normalisation")
+    } else {
+        (p.nests.len(), "")
+    };
+    if nests <= EXHAUSTIVE_MAX_NESTS {
+        return Ok(());
+    }
+    let why = format!(
+        "exhaustive fusion takes at most {EXHAUSTIVE_MAX_NESTS} nests; \
+         program {} has {nests}{when}",
+        p.name
+    );
+    Err(ServeError::new(ErrorKind::BadRequest, why))
+}
+
 /// The `optimize` analysis; returns the report and the optimised source
 /// (itself parseable) separately, so the CLI can honour `--emit`.
 pub fn optimize(p: &Program, opts: &Options) -> Result<(Analysis, String), ServeError> {
+    exhaustive_fits(p, &opts.pipeline)?;
     profiled(opts.profile, || optimize_inner(p, opts), |(a, _), pr| a.profile = Some(pr))
 }
 
@@ -617,6 +644,7 @@ pub fn optimize_search(
     opts: &Options,
     sp: &SearchParams,
 ) -> Result<(Analysis, String), ServeError> {
+    exhaustive_fits(p, &opts.pipeline)?;
     profiled(opts.profile, || optimize_search_inner(p, opts, sp), |(a, _), pr| a.profile = Some(pr))
 }
 
@@ -940,6 +968,56 @@ mod tests {
             assert!(a.text.contains("(1.00× speedup)"), "{}", a.text);
             assert_eq!(a.data.get("speedup").and_then(Json::as_f64), Some(1.0));
         }
+    }
+
+    /// `count` nests, each summing its own array into `s`; with `pairs`
+    /// each nest also doubles its array into `bK`, a statement that
+    /// normalisation distributes into a nest of its own.
+    fn independent_nests(count: usize, pairs: bool) -> Program {
+        let mut src = String::from("program independent\nscalar s = 0  // printed\n");
+        for k in 0..count {
+            src += &format!("array a{k}[64]\narray b{k}[64]  // live-out\n");
+        }
+        for k in 0..count {
+            src += &format!("for i{k} = 0, 63\n  s = (s + a{k}[i{k}])\n");
+            if pairs {
+                src += &format!("  b{k}[i{k}] = (a{k}[i{k}] * 2)\n");
+            }
+            src += "end for\n";
+        }
+        load(&src).unwrap()
+    }
+
+    #[test]
+    fn exhaustive_fusion_beyond_its_bound_is_a_bad_request() {
+        let exhaustive = |normalize| Options {
+            pipeline: OptimizeOptions {
+                fusion: FusionStrategy::Exhaustive,
+                normalize,
+                ..OptimizeOptions::default()
+            },
+            ..Options::default()
+        };
+        let sp = SearchParams::default();
+        // 13 nests as written; 7 nests that normalisation distributes
+        // into 14.
+        let cases = [
+            (independent_nests(EXHAUSTIVE_MAX_NESTS + 1, false), exhaustive(false), "has 13"),
+            (independent_nests(7, true), exhaustive(true), "has 14 after normalisation"),
+        ];
+        for (p, opts, count) in &cases {
+            for kind in [Kind::Optimize, Kind::OptimizeSearch] {
+                let e = run(kind, p, opts, &sp).unwrap_err();
+                assert_eq!(e.kind, ErrorKind::BadRequest, "{}: {e}", kind.as_str());
+                assert!(e.message.contains("at most 12 nests"), "{e}");
+                assert!(e.message.contains(count), "{e}");
+            }
+        }
+        // Without normalisation the 7 nests are within the bound, and the
+        // other strategies have none.
+        let seven = &cases[1].0;
+        assert!(optimize(seven, &exhaustive(false)).is_ok());
+        assert!(optimize(&cases[0].0, &Options::default()).is_ok());
     }
 
     #[test]

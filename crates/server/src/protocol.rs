@@ -174,7 +174,9 @@ pub struct RequestBudget {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Flags {
     /// Fusion strategy override: `greedy` (default), `none`, `bisection`,
-    /// `exhaustive`.
+    /// `exhaustive` (a `bad-request` beyond
+    /// [`EXHAUSTIVE_MAX_NESTS`](mbb_core::fusion::EXHAUSTIVE_MAX_NESTS)
+    /// nests).
     pub fusion: FusionStrategy,
     /// Normalise before fusing.
     pub normalize: bool,

@@ -1500,6 +1500,34 @@ mod tests {
     }
 
     #[test]
+    fn exhaustive_fusion_beyond_its_bound_is_a_bad_request_not_a_panic() {
+        let shared = test_shared();
+        let mut program = String::from("scalar s = 0  // printed\n");
+        for k in 0..=mbb_core::fusion::EXHAUSTIVE_MAX_NESTS {
+            program +=
+                &format!("array a{k}[64]\nfor i{k} = 0, 63\n  s = (s + a{k}[i{k}])\nend for\n");
+        }
+        for kind in ["optimize", "optimize-search"] {
+            let line = Json::obj([
+                ("schema", Json::str("mbb-serve/1")),
+                ("kind", Json::str(kind)),
+                ("program", Json::str(program.clone())),
+                ("options", Json::obj([("fusion", Json::str("exhaustive"))])),
+            ])
+            .render_compact();
+            let resp = process(&shared, &line);
+            let err = resp.get("error").unwrap_or_else(|| panic!("{kind}: {resp:?}"));
+            assert_eq!(err.get("code").and_then(|c| c.as_str()), Some("bad-request"), "{kind}");
+            assert_eq!(err.get("exit_code"), Some(&Json::UInt(2)), "{kind}");
+            let message = err.get("message").and_then(|m| m.as_str()).unwrap_or_default();
+            assert!(message.contains("at most 12 nests"), "{kind}: {message}");
+        }
+        assert_eq!(shared.metrics.errors_of(ErrorKind::BadRequest), 2);
+        assert_eq!(shared.metrics.errors_of(ErrorKind::Internal), 0);
+        assert_eq!(shared.cache.stats().entries, 0);
+    }
+
+    #[test]
     fn metrics_request_reports_the_traffic_so_far() {
         let shared = test_shared();
         process(&shared, REQ);

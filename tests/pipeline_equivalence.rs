@@ -5,7 +5,7 @@
 
 use mbb::core::fusion::{
     build_fusion_graph, check_legal, exhaustive_min_bandwidth, greedy_fusion,
-    total_distinct_arrays, Partitioning,
+    recursive_bisection_fusion, reorder_topologically, total_distinct_arrays, Partitioning,
 };
 use mbb::core::pipeline::{optimize, verify_equivalent, OptimizeOptions};
 use mbb::ir::builder::*;
@@ -125,13 +125,20 @@ proptest! {
         prop_assert!(best <= greedy);
     }
 
+    /// Every strategy returns a legal partitioning already in the one
+    /// group order (a fixed point of `reorder_topologically`), and every
+    /// one the IR accepts runs to the same observations.
     #[test]
     fn every_fusion_strategy_output_is_runnable(
         nests in proptest::collection::vec(arb_nest(4), 1..5),
     ) {
         let p = build(&nests, 0b0101, 16);
         let g = build_fusion_graph(&p);
-        for part in [greedy_fusion(&g), exhaustive_min_bandwidth(&g).0] {
+        let strategies =
+            [greedy_fusion(&g), recursive_bisection_fusion(&g), exhaustive_min_bandwidth(&g).0];
+        for part in strategies {
+            prop_assert!(check_legal(&g, &part).is_ok(), "{:?}", part);
+            prop_assert_eq!(reorder_topologically(&g, &part.groups).as_ref(), Some(&part));
             if let Ok(fused) = mbb::core::fusion::apply(&p, &part) {
                 validate::validate(&fused).unwrap();
                 prop_assert!(verify_equivalent(&p, &fused, 1e-9).is_ok());
