@@ -12,8 +12,8 @@
 //! is preserved by this scaling (see DESIGN.md).
 
 use mbb_core::balance::{
-    measure_native_balance, measure_program_balance, measured_machine_balance, ratios,
-    time_program, ProgramBalance,
+    measure_program_balance, measured_machine_balance, ratios, simulate, time_program,
+    ProgramBalance,
 };
 use mbb_core::embed::{embed_nest, normalize_guarded_consts, simplify_guards};
 use mbb_core::fusion;
@@ -189,9 +189,9 @@ pub fn figure1(sizes: Sizes) -> Figure1 {
     // do not scale with capacity; measure it on the full-geometry machine
     // at a size exceeding the real L2 instead.
     let full = MachineModel::origin2000();
-    programs.push(measure_native_balance("FFT", &full, |sink| {
-        fft::fft_traced(sizes.fft_n, sink).flops
-    }));
+    let Ok((flops, report)) =
+        simulate(&full, |h| Ok::<_, std::convert::Infallible>(fft::emit(sizes.fft_n, h)));
+    programs.push(ProgramBalance::new("FFT", report, flops));
     programs.push(
         measure_program_balance(&nas_sp::full_step(nas_sp::SpGrid::cubed(sizes.sp_n)), &m).unwrap(),
     );

@@ -10,20 +10,23 @@
 //! [`SCHEMA`] = `mbb-bench-gate/1`), and compares the run against a
 //! committed `bench/baseline.json` with a configurable tolerance.
 //!
-//! The three kernels cover the distinct hot-path regimes.  Since the run
-//! fast path landed ([`mbb_ir::runs`] + `Hierarchy::access_runs`), all
-//! three are calibrated to the *hit-dominated steady state* — resident
-//! working sets walked for many passes — because that is the regime the
-//! symbolic per-line walk accelerates and therefore the regime a
-//! regression would silently tax; the cold first pass still exercises the
-//! miss/writeback walk on every line:
+//! The four kernels cover the distinct hot-path regimes.  Since the run
+//! fast path landed ([`mbb_ir::runs`] + `Hierarchy::access_runs`), the
+//! three simulator kernels are calibrated to the *hit-dominated steady
+//! state* — resident working sets walked for many passes — because that
+//! is the regime the symbolic per-line walk accelerates and therefore the
+//! regime a regression would silently tax.  Each builds its own hierarchy
+//! and keeps it warm across passes and repetitions, rather than measuring
+//! through `mbb_core::balance::simulate`; the cold first pass still
+//! exercises the miss/writeback walk on every line:
 //!
 //! * **STREAM triad** — three L1-resident streams emitted directly as
 //!   [`mbb_ir::trace::RunRef`] bundles: pure sink-side run throughput,
 //!   no value work;
-//! * **FFT** — repeated in-L1 transforms: the butterfly stages emit runs,
-//!   the bit-reversal stays per-element (non-affine), covering both entry
-//!   paths and the TLB;
+//! * **FFT** — repeated in-L1 address-only transforms
+//!   ([`mbb_workloads::fft::emit`]): the butterfly stages emit runs, the
+//!   bit-reversal stays per-element (non-affine), covering both entry
+//!   paths and the TLB, with no value work;
 //! * **Sweep3D slice** — interpreter-driven wavefront: exercises the run
 //!   *compiler* (`mbb_ir::runs`) end to end, value loop included;
 //! * **Search** — the `mbb-search` beam search over a fixed fusable
@@ -288,15 +291,15 @@ pub fn run_gate(sizes: &GateSizes, mode: &'static str, reps: u32) -> GateReport 
         })
     };
 
-    // Traced FFT: runs from the butterfly stages, per-element emission
-    // from the bit-reversal, repeated over identical addresses so passes
-    // after the first hit warm lines and pages.
+    // Address-only FFT: runs from the butterfly stages, per-element
+    // emission from the bit-reversal, repeated over identical addresses so
+    // passes after the first hit warm lines and pages.
     let fft = {
         let mut h = machine.hierarchy();
         let (n, passes) = (sizes.fft_n, sizes.fft_passes);
         measure("fft", reps, move || {
             for _ in 0..passes {
-                std::hint::black_box(mbb_workloads::fft::fft_traced(n, &mut h));
+                std::hint::black_box(mbb_workloads::fft::emit(n, &mut h));
             }
             h.flush();
             std::hint::black_box(h.report());

@@ -16,6 +16,8 @@ pub use mbb_server::analysis::{machine_by_name, Options, SearchParams};
 pub use mbb_server::error::{ErrorKind, ServeError};
 pub use mbb_server::protocol::Kind;
 
+use mbb_ir::interp::{Interpreter, LayoutOpts};
+use mbb_obs::json::Json;
 use mbb_server::analysis::{self, load};
 
 /// The `graph` command: render the program's fusion graph as Graphviz
@@ -47,13 +49,15 @@ pub fn cmd_graph(src: &str) -> Result<String, ServeError> {
 
 /// The `trace` command: emit the program's access trace (Dinero-style
 /// text, one access per line) to the returned string.  Intended for
-/// interop with external cache simulators; traces grow with N.
+/// interop with external cache simulators; traces grow with N.  The trace
+/// is a value run's, from a [`trace_only`](Interpreter::trace_only) run.
 pub fn cmd_trace(src: &str) -> Result<String, ServeError> {
     let p = load(src)?;
     let mut buf = Vec::new();
     {
         let mut w = mbb_memsim::tracefile::TraceWriter::new(&mut buf);
-        mbb_ir::interp::run_traced(&p, &mut w)
+        Interpreter::trace_only(&p, LayoutOpts::default())
+            .run(&mut w)
             .map_err(|e| ServeError::new(ErrorKind::Run, e.to_string()))?;
         w.finish().map_err(ServeError::from)?;
     }
@@ -92,7 +96,8 @@ pub struct Output {
     /// tables when a profile was asked for, or else the per-execution
     /// lines.
     pub text: String,
-    /// The optimised source, for the two optimize kinds.
+    /// The optimised source, for the two optimize kinds: the analysis
+    /// data's `optimized_program`, which `--emit` prints.
     pub optimized: Option<String>,
     /// The span profile, when [`Options::profile`] was set.
     pub profile: Option<mbb_obs::Profile>,
@@ -119,8 +124,12 @@ pub fn cmd_analyze(
     // Meters the whole simulation-backed region: for optimize, the
     // balance measurements, the verification runs and the re-measurement.
     let meter = mbb_obs::Meter::start();
-    let (a, optimized) = analysis::run(kind, &p, opts, sp)?;
+    let mut a = analysis::run(kind, &p, opts, sp)?;
     let sim = meter.finish();
+    let optimized = match a.data.get_mut("optimized_program") {
+        Some(Json::Str(source)) => Some(std::mem::take(source)),
+        _ => None,
+    };
     let mut text = a.text;
     match &a.profile {
         Some(profile) => {

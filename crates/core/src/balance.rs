@@ -11,13 +11,13 @@
 //!
 //! Program balance here is measured exactly as the paper did on the R10K —
 //! from event counts — except the counters are the `mbb-memsim` simulator
-//! fed by the `mbb-ir` interpreter (or by a traced native kernel).
+//! fed by the `mbb-ir` interpreter (or by an address-only native kernel
+//! such as the FFT).  Every such measurement runs through [`simulate`].
 
 use std::cell::Cell;
 
 use mbb_ir::interp::{InterpError, Interpreter, LayoutOpts};
 use mbb_ir::program::Program;
-use mbb_ir::trace::AccessSink;
 use mbb_memsim::hierarchy::{Hierarchy, TrafficReport};
 use mbb_memsim::machine::MachineModel;
 use mbb_memsim::timing::{predict, Prediction};
@@ -37,6 +37,17 @@ pub struct ProgramBalance {
 }
 
 impl ProgramBalance {
+    /// The balance of `flops` flops that moved `report`'s traffic.
+    pub fn new(name: &str, report: TrafficReport, flops: u64) -> ProgramBalance {
+        let f = flops.max(1) as f64;
+        ProgramBalance {
+            name: name.into(),
+            bytes_per_flop: report.channel_bytes.iter().map(|&b| b as f64 / f).collect(),
+            flops,
+            report,
+        }
+    }
+
     /// Balance of the memory channel (the last row the paper tabulates).
     pub fn memory(&self) -> f64 {
         *self.bytes_per_flop.last().unwrap_or(&0.0)
@@ -65,17 +76,6 @@ pub fn ratios(balance: &ProgramBalance, machine: &MachineModel) -> BalanceRatios
         .collect();
     let max_ratio = ratios.iter().copied().fold(0.0, f64::max);
     BalanceRatios { ratios, max_ratio, cpu_utilization_bound: 1.0 / max_ratio.max(1.0) }
-}
-
-/// Builds a [`ProgramBalance`] from a finished hierarchy run.
-fn balance_from_report(name: &str, report: TrafficReport, flops: u64) -> ProgramBalance {
-    let f = flops.max(1) as f64;
-    ProgramBalance {
-        name: name.into(),
-        bytes_per_flop: report.channel_bytes.iter().map(|&b| b as f64 / f).collect(),
-        flops,
-        report,
-    }
 }
 
 /// Measures the balance of an IR program by interpretation against the
@@ -113,26 +113,29 @@ pub fn measure_program_balance(
 }
 
 thread_local! {
-    /// The hierarchy this thread's last balance measurement ran on, kept
-    /// for the next one: a search scores each candidate with one, and a
-    /// reset costs the sets the last program filled where a build costs
-    /// every set of the machine.
+    /// The hierarchy this thread's last measurement ran on, kept for the
+    /// next one: a search scores each candidate with one, and a reset
+    /// costs the sets the last run filled where a build costs every set
+    /// of the machine.
     static SPARE: Cell<Option<Hierarchy>> = const { Cell::new(None) };
 }
 
-/// As [`measure_program_balance`], with an explicit array layout (used by
-/// the conflict-sensitivity experiments).
+/// Simulates one run on `machine`'s memory hierarchy: `run` drives the
+/// hierarchy, then the dirty lines drain under a `"flush"` span and the
+/// traffic is reported.  Every program balance, the FFT row of Figure 1
+/// and `trace-stats` are measured here; `run` opens its own span (the
+/// interpreter's is `"interp"`, whose nest spans plus the sibling
+/// `"flush"` partition the traffic exactly, see `crate::profile`).
 ///
 /// Runs on this thread's spare hierarchy, reset, when it has `machine`'s
 /// geometry ([`Hierarchy::has_geometry_of`]), and on a fresh one
 /// otherwise; a reset hierarchy simulates exactly what a fresh one does.
 /// The hierarchy becomes the spare again once the run is measured, so a
-/// panic or an interpreter error only loses the spare.
-pub fn measure_program_balance_with_layout(
-    prog: &Program,
+/// panic or an error from `run` only loses the spare.
+pub fn simulate<T, E>(
     machine: &MachineModel,
-    layout: LayoutOpts,
-) -> Result<ProgramBalance, InterpError> {
+    run: impl FnOnce(&mut Hierarchy) -> Result<T, E>,
+) -> Result<(T, TrafficReport), E> {
     let mut h = match SPARE.take() {
         Some(mut h) if h.has_geometry_of(machine) => {
             h.reset();
@@ -140,42 +143,28 @@ pub fn measure_program_balance_with_layout(
         }
         _ => machine.hierarchy(),
     };
-    let run = {
-        // The "interp" span covers the whole interpretation; inside it the
-        // interpreter opens one "nest:<name>" span per loop nest, so the
-        // nest spans plus the sibling "flush" below partition this run's
-        // traffic exactly (see `crate::profile`).
-        let _s = mbb_obs::span!("interp");
-        Interpreter::trace_only(prog, layout).run(&mut h)?
-    };
+    let out = run(&mut h)?;
     {
         let _s = mbb_obs::span!("flush");
         h.flush();
     }
     let report = h.report();
     SPARE.set(Some(h));
-    Ok(balance_from_report(&prog.name, report, run.stats.flops))
+    Ok((out, report))
 }
 
-/// Measures the balance of a *native* traced kernel: `kernel` receives the
-/// sink and returns its flop count.
-pub fn measure_native_balance(
-    name: &str,
+/// As [`measure_program_balance`], with an explicit array layout (used by
+/// the conflict-sensitivity experiments).
+pub fn measure_program_balance_with_layout(
+    prog: &Program,
     machine: &MachineModel,
-    kernel: impl FnOnce(&mut dyn AccessSink) -> u64,
-) -> ProgramBalance {
-    let mut h = machine.hierarchy();
-    let flops = {
-        let _s = mbb_obs::span!("native");
-        let flops = kernel(&mut h);
-        mbb_obs::add_flops(flops);
-        flops
-    };
-    {
-        let _s = mbb_obs::span!("flush");
-        h.flush();
-    }
-    balance_from_report(name, h.report(), flops)
+    layout: LayoutOpts,
+) -> Result<ProgramBalance, InterpError> {
+    let (run, report) = simulate(machine, |h| {
+        let _s = mbb_obs::span!("interp");
+        Interpreter::trace_only(prog, layout).run(h)
+    })?;
+    Ok(ProgramBalance::new(&prog.name, report, run.stats.flops))
 }
 
 /// Predicted execution of an IR program on a machine: simulate the traffic,
@@ -285,19 +274,17 @@ mod tests {
 
     #[test]
     fn native_kernel_balance() {
-        use mbb_memsim::arena::{Arena, TracedArray};
+        // An address-only kernel: one run of `n` reads, one flop each.
+        use mbb_ir::trace::{AccessKind, AccessSink, RunRef};
         let m = MachineModel::origin2000();
         let n = 1 << 18;
-        let b = measure_native_balance("native_sum", &m, |sink| {
-            let mut arena = Arena::new();
-            let a = TracedArray::from_fn(&mut arena, n, |k| k as f64);
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += a.get(k, sink);
-            }
-            std::hint::black_box(acc);
-            n as u64
+        let a = mbb_memsim::arena::Arena::new().alloc_f64(n);
+        let sum = [RunRef { base: a, stride: 8, size: 8, kind: AccessKind::Read }];
+        let Ok((flops, report)) = simulate(&m, |h| {
+            h.access_runs(&sum, n as u64);
+            Ok::<_, std::convert::Infallible>(n as u64)
         });
+        let b = ProgramBalance::new("native_sum", report, flops);
         assert!((b.bytes_per_flop[0] - 8.0).abs() < 1e-9);
     }
 

@@ -67,24 +67,6 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// SplitMix64's increment, the golden ratio in 64-bit fixed point.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64's finaliser: a full-avalanche bijection on `u64`.  Pushing
-/// an FNV value through it spreads short, nearly identical inputs (peer
-/// names on the shard ring) uniformly over the whole range.
-pub fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// One SplitMix64 draw from state `x`: a seeded, stateless random `u64`
-/// (fault-injection draws, retry jitter).
-pub fn splitmix64(x: u64) -> u64 {
-    mix64(x.wrapping_add(GOLDEN_GAMMA))
-}
-
 /// Composes a cache key from its addressed parts: the request kind, the
 /// machine name, a stable flags rendering and the canonical program text,
 /// NUL-separated so no field can masquerade as a neighbour.
@@ -113,15 +95,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn splitmix64_matches_reference_vectors() {
-        // The first outputs of the reference SplitMix64 generator seeded
-        // with 0 (state advanced by the golden gamma before each output).
-        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6e78_9e6a_a1b9_65f4);
-        assert_eq!(mix64(0), 0);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! strategy can be scored under both.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use mbb_hypergraph::graph::{HyperEdge, Hypergraph};
 use mbb_hypergraph::mincut::min_hyperedge_cut;
@@ -262,44 +263,64 @@ pub const EXHAUSTIVE_MAX_NESTS: usize = 12;
 /// each node joins every existing group in turn, then opens a new one.
 /// Members ascend within a group and groups are listed by first member.
 /// Only the partition being visited exists at any time, so the walk over
-/// Bell(n) partitions needs O(n) memory.
-pub fn for_each_partition(n: usize, mut visit: impl FnMut(&[Vec<usize>])) {
-    fn place<F: FnMut(&[Vec<usize>])>(
+/// Bell(n) partitions needs O(n) memory.  The walk ends early when
+/// `visit` breaks.
+pub fn for_each_partition(n: usize, mut visit: impl FnMut(&[Vec<usize>]) -> ControlFlow<()>) {
+    fn place<F: FnMut(&[Vec<usize>]) -> ControlFlow<()>>(
         node: usize,
         n: usize,
         groups: &mut Vec<Vec<usize>>,
         visit: &mut F,
-    ) {
+    ) -> ControlFlow<()> {
         if node == n {
-            visit(groups);
-            return;
+            return visit(groups);
         }
         for g in 0..groups.len() {
             groups[g].push(node);
-            place(node + 1, n, groups, visit);
+            let flow = place(node + 1, n, groups, visit);
             groups[g].pop();
+            flow?;
         }
         groups.push(vec![node]);
-        place(node + 1, n, groups, visit);
+        let flow = place(node + 1, n, groups, visit);
         groups.pop();
+        flow
     }
-    place(0, n, &mut Vec::new(), &mut visit);
+    let _ = place(0, n, &mut Vec::new(), &mut visit);
 }
+
+/// Partitions the exhaustive walk visits between two polls of the
+/// installed execution budget.
+const BUDGET_POLL: u32 = 4096;
 
 /// Walks every partitioning of a fusion graph of at most
 /// [`EXHAUSTIVE_MAX_NESTS`] nests and returns the first legal one of
 /// minimal `cost`, its groups in dependence order.
+///
+/// Every [`BUDGET_POLL`] partitions the walk polls the thread's
+/// [`mbb_ir::budget`], and stops once it is spent (a request's deadline
+/// passed): it then returns the best partitioning seen, or the unfused
+/// one, and the request fails at its next budget check.  Without a
+/// budget the walk is never stopped.
 fn exhaustive_best(
     graph: &FusionGraph,
     cost: impl Fn(&FusionGraph, &Partitioning) -> u64,
 ) -> (Partitioning, u64) {
     assert!(graph.n <= EXHAUSTIVE_MAX_NESTS, "exhaustive search is exponential; too many nests");
     let mut best: Option<(Partitioning, u64)> = None;
+    let mut until_poll = BUDGET_POLL;
     for_each_partition(graph.n, |groups| {
+        until_poll -= 1;
+        if until_poll == 0 {
+            until_poll = BUDGET_POLL;
+            if mbb_ir::budget::exhausted() {
+                return ControlFlow::Break(());
+            }
+        }
         // A group holding a preventing pair is illegal in any order, so it
         // is rejected before the groups are ordered.
         if groups.iter().any(|g| graph.prevented_pair(g).is_some()) {
-            return;
+            return ControlFlow::Continue(());
         }
         if let Some(p) = reorder_topologically(graph, groups) {
             let c = cost(graph, &p);
@@ -307,8 +328,14 @@ fn exhaustive_best(
                 best = Some((p, c));
             }
         }
+        ControlFlow::Continue(())
     });
-    best.expect("the unfused partitioning is always legal")
+    // A complete walk always sees the unfused partitioning, which is legal.
+    best.unwrap_or_else(|| {
+        let p = Partitioning::unfused(graph.n);
+        let c = cost(graph, &p);
+        (p, c)
+    })
 }
 
 /// Exact bandwidth-minimal fusion for small programs (exhaustive).
@@ -611,6 +638,7 @@ mod tests {
                 assert!(groups.iter().all(|g| g.windows(2).all(|w| w[0] < w[1])), "{groups:?}");
                 assert!(groups.windows(2).all(|w| w[0][0] < w[1][0]), "{groups:?}");
                 visited.push(groups.to_vec());
+                ControlFlow::Continue(())
             });
             let distinct: BTreeSet<_> = visited.iter().collect();
             assert_eq!((visited.len(), distinct.len()), (bell, bell), "n = {n}");

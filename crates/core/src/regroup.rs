@@ -243,7 +243,7 @@ mod tests {
         let (q, _) =
             regroup(&p, &[mbb_ir::ArrayId(0), mbb_ir::ArrayId(1), mbb_ir::ArrayId(2)]).unwrap();
         let mut sink = mbb_ir::trace::VecSink::new();
-        mbb_ir::interp::run_traced(&q, &mut sink).unwrap();
+        mbb_ir::interp::Interpreter::new(&q).run(&mut sink).unwrap();
         // Per iteration the three loads are 8 bytes apart — one line.
         let ev = &sink.events;
         assert_eq!(ev[1].addr - ev[0].addr, 8);

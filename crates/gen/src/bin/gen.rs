@@ -9,14 +9,16 @@
 //! gen search-sweep --count N [--seed S] [--beam B] [--steps K] [--jobs J]
 //!            [--scale X | --full] [--json PATH]
 //! gen replay --family F --n N --k K --detail D [--mutate M] [--scale X]
+//!            [--balance-slop F]
 //! ```
 //!
-//! The fuzz seed resolves as `--seed`, else the `GEN_SEED` environment
-//! variable (the CI exploration lane sets it to the run id), else a fixed
-//! default — mirroring the chaos suite's seed discipline.  Exit codes:
-//! 0 success, 1 counterexample or failed replay, 2 usage.
+//! Each subcommand takes only the flags listed for it; any other flag is
+//! a usage error.  The fuzz seed resolves as `--seed`, else the
+//! `GEN_SEED` environment variable (the CI exploration lane sets it to
+//! the run id), else a fixed default — mirroring the chaos suite's seed
+//! discipline.  Exit codes: 0 success, 1 counterexample or failed
+//! replay, 2 usage.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -25,7 +27,7 @@ use mbb_gen::fuzz::{self, Config, Counterexample};
 use mbb_gen::search_sweep::{search_sweep, SearchSweepConfig};
 use mbb_gen::sweep::{sweep, SweepConfig};
 use mbb_gen::templates::{self, Params};
-use mbb_gen::{parse_u64, resolve_seed};
+use mbb_gen::{parse_u64, resolve_seed, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,49 +52,27 @@ fn usage() -> &'static str {
        --family F --n N --k K --detail D   exact replay coordinates\n"
 }
 
-struct Args {
-    flags: BTreeMap<String, String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut flags = BTreeMap::new();
-        let mut k = 0;
-        while k < raw.len() {
-            let flag = raw[k].as_str();
-            if !flag.starts_with("--") {
-                return Err(format!("unexpected argument `{flag}`"));
-            }
-            if flag == "--full" {
-                flags.insert(flag.to_string(), String::new());
-                k += 1;
-                continue;
-            }
-            let Some(value) = raw.get(k + 1) else {
-                return Err(format!("{flag} needs a value"));
-            };
-            flags.insert(flag.to_string(), value.clone());
-            k += 2;
-        }
-        Ok(Args { flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags.get(flag).map(String::as_str)
-    }
-
-    fn u64_or(&self, flag: &str, default: u64) -> Result<u64, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => parse_u64(v).ok_or_else(|| format!("{flag} wants a number, got `{v}`")),
-        }
-    }
-
-    fn u32_or(&self, flag: &str, default: u32) -> Result<u32, String> {
-        self.u64_or(flag, u64::from(default))
-            .and_then(|n| u32::try_from(n).map_err(|_| format!("{flag} value {n} is out of range")))
-    }
-}
+/// The flags each subcommand takes: `(command, valued flags, switches)`.
+const COMMANDS: [(&str, &[&str], &[&str]); 6] = [
+    ("one", &["--seed", "--template", "--scale"], &[]),
+    ("corpus", &["--count", "--seed", "--dir", "--scale"], &[]),
+    (
+        "fuzz",
+        &["--iters", "--seed", "--mutate", "--scale", "--balance-slop", "--artifact-dir"],
+        &[],
+    ),
+    ("sweep", &["--count", "--seed", "--scale", "--json"], &["--full"]),
+    (
+        "search-sweep",
+        &["--count", "--seed", "--beam", "--steps", "--jobs", "--scale", "--json"],
+        &["--full"],
+    ),
+    (
+        "replay",
+        &["--family", "--n", "--k", "--detail", "--mutate", "--scale", "--balance-slop"],
+        &[],
+    ),
+];
 
 fn fuzz_seed(args: &Args) -> Result<u64, String> {
     resolve_seed(args.get("--seed"), fuzz::DEFAULT_SEED)
@@ -230,7 +210,7 @@ fn cmd_fuzz(args: &Args) -> Result<ExitCode, String> {
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let seed = fuzz_seed(args)?;
     let count = args.u32_or("--count", 50)?;
-    let scale = if args.get("--full").is_some() { 64 } else { args.u32_or("--scale", 1)? };
+    let scale = if args.has("--full") { 64 } else { args.u32_or("--scale", 1)? };
     let cfg = SweepConfig { count, seed, scale };
     let doc = sweep(&cfg, |k, params| {
         if k % 25 == 0 && k > 0 {
@@ -251,7 +231,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
 fn cmd_search_sweep(args: &Args) -> Result<(), String> {
     let seed = fuzz_seed(args)?;
     let count = args.u32_or("--count", 50)?;
-    let scale = if args.get("--full").is_some() { 64 } else { args.u32_or("--scale", 1)? };
+    let scale = if args.has("--full") { 64 } else { args.u32_or("--scale", 1)? };
     let cfg = SearchSweepConfig {
         count,
         seed,
@@ -320,10 +300,14 @@ fn main() -> ExitCode {
         eprint!("{}", usage());
         return ExitCode::from(2);
     };
-    let args = match Args::parse(&raw[1..]) {
+    let Some(&(_, valued, switches)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("gen: unknown command `{cmd}`\n{}", usage());
+        return ExitCode::from(2);
+    };
+    let args = match Args::parse(&raw[1..], valued, switches) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("gen: {e}\n{}", usage());
+            eprintln!("gen {cmd}: {e}\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -334,16 +318,48 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args).map(|()| ExitCode::SUCCESS),
         "search-sweep" => cmd_search_sweep(&args).map(|()| ExitCode::SUCCESS),
         "replay" => cmd_replay(&args),
-        other => {
-            eprintln!("gen: unknown command `{other}`\n{}", usage());
-            return ExitCode::from(2);
-        }
+        _ => unreachable!("COMMANDS lists every subcommand"),
     };
     match outcome {
         Ok(code) => code,
         Err(e) => {
             eprintln!("gen: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parses(line: &str) -> Result<Args, String> {
+        let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (_, valued, switches) = COMMANDS.iter().find(|(name, ..)| *name == raw[0]).unwrap();
+        Args::parse(&raw[1..], valued, switches)
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        // CI, the nightly, the README, EXPERIMENTS.md, the verify notes
+        // and the replay commands fuzz failures print.
+        for line in [
+            "fuzz --iters 200 --artifact-dir target/tmp/gen-fuzz",
+            "fuzz --iters 200 --mutate swap-add-sub --artifact-dir target/tmp/gen-canary",
+            "fuzz --iters 2000 --artifact-dir target/tmp/gen-fuzz",
+            "fuzz --iters 200 --seed 3 --scale 2 --balance-slop 0.1",
+            "search-sweep --count 40 --seed 1 --beam 2 --steps 2 --jobs 1 --json sweep_j1.json",
+            "search-sweep --count 200 --full --jobs 2 --seed 7 --json SEARCH_7.json",
+            "search-sweep --count 50 --jobs 2 --json search.json --scale 2",
+            "sweep --count 300 --full --seed 7 --json SWEEP_7.json",
+            "sweep --count 3 --scale 2",
+            "one --template stencil --seed 42 --scale 1",
+            "corpus --count 20 --dir /tmp/corpus --seed 1 --scale 1",
+            "replay --family chain --n 17 --k 3 --detail 0x9e3779b9 --scale 64",
+            "replay --family chain --n 4 --k 1 --detail 0x0 --mutate swap-add-sub",
+            "replay --family reduce --n 4 --k 1 --detail 0x0 --balance-slop 0.1",
+        ] {
+            assert!(parses(line).is_ok(), "{line}: {:?}", parses(line));
         }
     }
 }

@@ -25,13 +25,12 @@
 //! 1 storm failed its bounds (with `--assert`) or could not be driven,
 //! 2 usage.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use mbb_gen::load::{run_tier, LoadConfig};
-use mbb_gen::{parse_u64, resolve_seed};
+use mbb_gen::{resolve_seed, Args};
 
 fn usage() -> &'static str {
     "usage: mbb-load (--addr HOST:PORT | --tier A,B,C | --spawn) [options]\n\
@@ -52,10 +51,10 @@ fn usage() -> &'static str {
        --assert          exit 1 unless the graceful-degradation bounds hold\n"
 }
 
-const KNOWN_FLAGS: &[&str] = &[
+/// The flags that take a value.
+const VALUED: &[&str] = &[
     "--addr",
     "--tier",
-    "--spawn",
     "--seed",
     "--clients",
     "--requests",
@@ -67,57 +66,10 @@ const KNOWN_FLAGS: &[&str] = &[
     "--workers",
     "--queue-depth",
     "--json",
-    "--assert",
 ];
 
-struct Args {
-    flags: BTreeMap<String, String>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut flags = BTreeMap::new();
-        let mut k = 0;
-        while k < raw.len() {
-            let flag = raw[k].as_str();
-            if !KNOWN_FLAGS.contains(&flag) {
-                return Err(format!("unexpected argument `{flag}`"));
-            }
-            if flag == "--spawn" || flag == "--assert" {
-                flags.insert(flag.to_string(), String::new());
-                k += 1;
-                continue;
-            }
-            let Some(value) = raw.get(k + 1) else {
-                return Err(format!("{flag} needs a value"));
-            };
-            flags.insert(flag.to_string(), value.clone());
-            k += 2;
-        }
-        Ok(Args { flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags.get(flag).map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.flags.contains_key(flag)
-    }
-
-    fn u64_or(&self, flag: &str, default: u64) -> Result<u64, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(v) => parse_u64(v).ok_or_else(|| format!("{flag} wants a number, got `{v}`")),
-        }
-    }
-
-    fn usize_or(&self, flag: &str, default: usize) -> Result<usize, String> {
-        self.u64_or(flag, default as u64).and_then(|n| {
-            usize::try_from(n).map_err(|_| format!("{flag} value {n} is out of range"))
-        })
-    }
-}
+/// The flags that stand alone.
+const SWITCHES: &[&str] = &["--spawn", "--assert"];
 
 fn load_config(args: &Args) -> Result<LoadConfig, String> {
     let d = LoadConfig::default();
@@ -254,7 +206,7 @@ fn drive(args: &Args, cfg: &LoadConfig, target: &Target) -> Result<bool, String>
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, cfg, target) = match Args::parse(&raw).and_then(|a| {
+    let (args, cfg, target) = match Args::parse(&raw, VALUED, SWITCHES).and_then(|a| {
         let (cfg, target) = plan(&a)?;
         Ok((a, cfg, target))
     }) {
@@ -270,6 +222,31 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("mbb-load: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        // CI, the nightly and the README.
+        for line in [
+            "--spawn --workers 2 --queue-depth 8 --clients 16 --requests 2000 --storm-ms 60000 \
+             --deadline-ms 500 --seed 7 --assert --json LOAD_7.json",
+            "--tier 127.0.0.1:7471,127.0.0.1:7472 --clients 18 --requests 2000 \
+             --storm-ms 45000 --deadline-ms 500 --seed 7 --json LOAD_7.json",
+            "--spawn --clients 8 --requests 100 --storm-ms 4000 --deadline-ms 250 --assert \
+             --json load_smoke.json",
+            "--addr 127.0.0.1:7456 --clients 8 --requests 100 --storm-ms 4000 \
+             --deadline-ms 250 --assert --json load_live.json",
+            "--spawn --calibrate 4 --drain-ms 100 --timeout-ms 100",
+        ] {
+            let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let args = Args::parse(&raw, VALUED, SWITCHES);
+            assert!(args.is_ok(), "{line}: {args:?}");
         }
     }
 }

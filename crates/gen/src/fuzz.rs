@@ -29,7 +29,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use mbb_core::balance::measure_program_balance;
+use mbb_core::balance::{measure_program_balance, simulate};
 use mbb_core::mutate::{self, Mutation};
 use mbb_core::pipeline::{optimize, OptimizeOptions};
 use mbb_ir::budget::{self, Budget};
@@ -165,10 +165,9 @@ fn traffic_under(
 /// engine: what the trace-only balance runs must reproduce.
 fn value_traffic(prog: &Program, machine: &MachineModel) -> Result<Vec<u64>, String> {
     let _guard = runs::install(Engine::Scalar);
-    let mut h = machine.hierarchy();
-    Interpreter::new(prog).run(&mut h).map_err(|e| format!("scalar: {e}"))?;
-    h.flush();
-    Ok(h.report().channel_bytes)
+    let (_, report) =
+        simulate(machine, |h| Interpreter::new(prog).run(h)).map_err(|e| format!("scalar: {e}"))?;
+    Ok(report.channel_bytes)
 }
 
 /// Runs `prog` under both engines and demands byte-identical observations,

@@ -35,8 +35,10 @@
 //!
 //! Everything is seeded splitmix64: the same seed always reproduces the
 //! same programs, and every failure prints the exact replay command.  Both
-//! binaries read numbers with [`parse_u64`] and their seed with
-//! [`resolve_seed`].
+//! binaries parse their flags with [`Args`], read numbers with
+//! [`parse_u64`] and their seed with [`resolve_seed`].
+
+use std::collections::BTreeMap;
 
 pub mod fuzz;
 pub mod load;
@@ -72,9 +74,94 @@ pub fn resolve_seed(flag: Option<&str>, default: u64) -> Result<u64, String> {
     Ok(default)
 }
 
+/// A command line's flags: `--flag value` pairs and bare switches, each
+/// one the command names.  An unknown flag is an error that names it.
+#[derive(Debug)]
+pub struct Args {
+    flags: BTreeMap<String, String>,
+}
+
+impl Args {
+    /// Parses `raw` against the flags a command takes: `valued` ones are
+    /// followed by a value, `switches` stand alone.
+    pub fn parse(raw: &[String], valued: &[&str], switches: &[&str]) -> Result<Args, String> {
+        let mut flags = BTreeMap::new();
+        let mut k = 0;
+        while k < raw.len() {
+            let flag = raw[k].as_str();
+            if switches.contains(&flag) {
+                flags.insert(flag.to_string(), String::new());
+                k += 1;
+            } else if valued.contains(&flag) {
+                let Some(value) = raw.get(k + 1) else {
+                    return Err(format!("{flag} needs a value"));
+                };
+                flags.insert(flag.to_string(), value.clone());
+                k += 2;
+            } else if flag.starts_with("--") {
+                return Err(format!("unknown flag `{flag}`"));
+            } else {
+                return Err(format!("unexpected argument `{flag}`"));
+            }
+        }
+        Ok(Args { flags })
+    }
+
+    /// The value of a valued flag, when given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// True when the flag was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.contains_key(flag)
+    }
+
+    /// A number flag, or `default` when absent.
+    pub fn u64_or(&self, flag: &str, default: u64) -> Result<u64, String> {
+        match self.get(flag) {
+            None => Ok(default),
+            Some(v) => parse_u64(v).ok_or_else(|| format!("{flag} wants a number, got `{v}`")),
+        }
+    }
+
+    /// As [`Args::u64_or`], for a `u32`.
+    pub fn u32_or(&self, flag: &str, default: u32) -> Result<u32, String> {
+        self.u64_or(flag, u64::from(default))
+            .and_then(|n| u32::try_from(n).map_err(|_| format!("{flag} value {n} is out of range")))
+    }
+
+    /// As [`Args::u64_or`], for a `usize`.
+    pub fn usize_or(&self, flag: &str, default: usize) -> Result<usize, String> {
+        self.u64_or(flag, default as u64).and_then(|n| {
+            usize::try_from(n).map_err(|_| format!("{flag} value {n} is out of range"))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(raw: &str) -> Result<Args, String> {
+        let raw: Vec<String> = raw.split_whitespace().map(String::from).collect();
+        Args::parse(&raw, &["--seed", "--count"], &["--full"])
+    }
+
+    #[test]
+    fn only_the_named_flags_parse() {
+        let a = args("--seed 0x10 --full --count 3").unwrap();
+        assert_eq!((a.u64_or("--seed", 7), a.u32_or("--count", 1)), (Ok(16), Ok(3)));
+        assert!(a.has("--full") && !a.has("--json"));
+        assert_eq!(a.usize_or("--jobs", 2), Ok(2));
+        assert_eq!(args("--iter 3").unwrap_err(), "unknown flag `--iter`");
+        assert_eq!(args("--seed").unwrap_err(), "--seed needs a value");
+        assert_eq!(args("seven").unwrap_err(), "unexpected argument `seven`");
+        assert_eq!(
+            args("--count x").unwrap().u32_or("--count", 1),
+            Err("--count wants a number, got `x`".into())
+        );
+    }
 
     #[test]
     fn numbers_parse_in_decimal_and_hex() {

@@ -212,11 +212,7 @@ pub struct RunResult {
 /// Deterministic pseudo-random value in `[0, 1)` for input stream `src` at
 /// linearised position `key` (SplitMix64 over the pair).
 pub fn input_value(src: SourceId, key: u64) -> f64 {
-    let mut z = (u64::from(src.0) << 32) ^ key ^ 0x9E37_79B9_7F4A_7C15;
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mbb_obs::splitmix64((u64::from(src.0) << 32) ^ key ^ mbb_obs::GOLDEN_GAMMA);
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -563,11 +559,6 @@ pub fn run(prog: &Program) -> Result<RunResult, InterpError> {
     Interpreter::new(prog).run(&mut crate::trace::NullSink)
 }
 
-/// Runs a program with the default layout, streaming accesses into `sink`.
-pub fn run_traced(prog: &Program, sink: &mut dyn AccessSink) -> Result<RunResult, InterpError> {
-    Interpreter::new(prog).run(sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,7 +619,7 @@ mod tests {
     fn trace_has_addresses_and_kinds() {
         let p = sum_program(4, Init::Zero);
         let mut v = VecSink::new();
-        let r = run_traced(&p, &mut v).unwrap();
+        let r = Interpreter::new(&p).run(&mut v).unwrap();
         assert_eq!(r.stats.loads, 4);
         assert_eq!(v.events.len(), 4);
         let base = v.events[0].addr;
@@ -724,6 +715,20 @@ mod tests {
     }
 
     #[test]
+    fn input_values_match_known_answers() {
+        // Values recorded before the mixer moved to `mbb_obs`.
+        let known = [
+            (0, 0, 0x3fdb_9e27_9aa8_6e58),
+            (3, 7, 0x3fcb_b738_3fee_65c8),
+            (100, 1023, 0x3feb_94d5_5df4_a9e4),
+            (u32::MAX, u64::MAX, 0x3f42_2162_58d1_1c00),
+        ];
+        for (src, key, bits) in known {
+            assert_eq!(input_value(SourceId(src), key).to_bits(), bits, "{src}/{key}");
+        }
+    }
+
+    #[test]
     fn layout_respects_alignment_and_padding() {
         let mut p = Program::new("lay");
         let s1 = p.fresh_source();
@@ -753,7 +758,7 @@ mod tests {
     fn counting_sink_matches_stats() {
         let p = sum_program(32, Init::Hash);
         let mut c = CountingSink::new();
-        let r = run_traced(&p, &mut c).unwrap();
+        let r = Interpreter::new(&p).run(&mut c).unwrap();
         assert_eq!(c.reads, r.stats.loads);
         assert_eq!(c.writes, r.stats.stores);
         assert_eq!(c.total_bytes(), r.stats.reg_bytes());

@@ -43,8 +43,7 @@ pub use budget::{Budget, BudgetExceeded};
 pub use builder::ProgramBuilder;
 pub use expr::{Affine, BinOp, CmpOp, Cond, Expr, Ref, UnOp};
 pub use interp::{
-    input_value, run, run_traced, ExecStats, InterpError, Interpreter, LayoutOpts, Observation,
-    RunResult,
+    input_value, run, ExecStats, InterpError, Interpreter, LayoutOpts, Observation, RunResult,
 };
 pub use parse::{parse, ParseError};
 pub use program::{

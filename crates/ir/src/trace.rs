@@ -1,6 +1,6 @@
 //! Memory-access traces.
 //!
-//! The interpreter (and the traced native kernels in `mbb-workloads`) emit a
+//! The interpreter (and the address-only FFT in `mbb-workloads`) emit a
 //! stream of [`Access`] events — byte address, size, read/write — into an
 //! [`AccessSink`].  The memory-hierarchy simulator in `mbb-memsim` is one
 //! such sink; counting and recording sinks are provided here for tests.

@@ -420,10 +420,7 @@ impl Cache {
     #[inline]
     pub(crate) fn frame_of_page(&self, page_num: u64) -> u64 {
         let shift = self.shuffle_shift.expect("frame_of_page needs a shuffled index");
-        let mut z = page_num.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) << shift
+        mbb_obs::splitmix64(page_num) << shift
     }
 
     /// Shuffle granularity as `log2(lines per page)` (`None` = identity
@@ -842,10 +839,7 @@ mod tests {
             let lines_per_page = page / line;
             let page_num = line_addr / lines_per_page;
             let offset = line_addr % lines_per_page;
-            let mut z = page_num.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)).wrapping_mul(lines_per_page).wrapping_add(offset) % sets
+            mbb_obs::splitmix64(page_num).wrapping_mul(lines_per_page).wrapping_add(offset) % sets
         }
         for (size, line, assoc, page) in
             [(32 * 1024, 32, 2, 16 * 1024), (1024 * 1024, 32, 1, 64 * 1024), (4096, 128, 2, 4096)]
@@ -859,6 +853,24 @@ mod tests {
                 assert_eq!(set_idx as u64, reference_set(line_addr, page, line, sets));
                 assert_eq!(tag, line_addr, "tag stays the full line address");
             }
+        }
+    }
+
+    #[test]
+    fn page_frames_match_known_answers() {
+        // Frames recorded before the mixer moved to `mbb_obs`: 32 B lines
+        // in 16 KiB pages, so a frame is the draw shifted by 9.
+        let c =
+            Cache::new(CacheConfig::write_back("s", 32 * 1024, 32, 2).with_page_shuffle(16 * 1024));
+        let known = [
+            (0, 0x4150_72f6_3b9b_5e00),
+            (1, 0x145b_d912_04b9_8200),
+            (2, 0xb06b_bc39_2ead_9c00),
+            (0x1234_5678, 0xe3b8_73a3_20d6_de00),
+            (u64::MAX, 0xb2e2_ee36_ca58_4000),
+        ];
+        for (page, frame) in known {
+            assert_eq!(c.frame_of_page(page), frame, "page {page:#x}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper measured program balance with MIPS R10000 hardware counters
 //! and machine balance with STREAM and CacheBench on real machines.  This
 //! crate is the substitute (see DESIGN.md): it consumes exact memory-access
-//! traces (from the `mbb-ir` interpreter or from traced native kernels) and
-//! produces the same event counts a hardware counter would —
+//! traces (from the `mbb-ir` interpreter or from address-only native
+//! kernels) and produces the same event counts a hardware counter would —
 //!
 //! * per-level cache hits, misses and writebacks ([`cache`], [`hierarchy`]),
 //! * bytes moved on every channel of the hierarchy (registers↔L1, L1↔L2,
@@ -20,8 +20,8 @@
 //! * STREAM and CacheBench ports that run *against the simulator* to
 //!   "measure" machine bandwidth exactly the way the paper did
 //!   ([`stream`], [`cachebench`]),
-//! * an [`arena`] with traced buffers so native (non-IR) kernels such as
-//!   the FFT can emit the same traces.
+//! * an address [`arena`], so address-only native (non-IR) kernels such
+//!   as the FFT lay their buffers out as the interpreter lays out arrays.
 
 pub mod arena;
 pub mod cache;
@@ -33,7 +33,7 @@ pub mod stream;
 pub mod timing;
 pub mod tracefile;
 
-pub use arena::{Arena, TracedArray};
+pub use arena::Arena;
 pub use cache::{Cache, CacheConfig, LevelStats, WritePolicy};
 pub use hierarchy::{Hierarchy, TrafficReport};
 pub use machine::MachineModel;

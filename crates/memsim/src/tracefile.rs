@@ -108,7 +108,7 @@ mod tests {
     use super::*;
     use crate::machine::MachineModel;
     use mbb_ir::builder::*;
-    use mbb_ir::interp;
+    use mbb_ir::interp::Interpreter;
 
     fn little_program() -> mbb_ir::Program {
         let mut b = ProgramBuilder::new("t");
@@ -125,13 +125,13 @@ mod tests {
         let mut buf = Vec::new();
         {
             let mut w = TraceWriter::new(&mut buf);
-            interp::run_traced(&p, &mut w).unwrap();
+            Interpreter::new(&p).run(&mut w).unwrap();
             assert_eq!(w.written(), 128); // 64 loads + 64 stores
         }
         // Replaying it through a hierarchy matches the direct simulation.
         let m = MachineModel::origin2000();
         let mut direct = m.hierarchy();
-        interp::run_traced(&p, &mut direct).unwrap();
+        Interpreter::new(&p).run(&mut direct).unwrap();
         let mut replayed = m.hierarchy();
         let n = replay(io::BufReader::new(&buf[..]), &mut replayed).unwrap();
         assert_eq!(n, 128);

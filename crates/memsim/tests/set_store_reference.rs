@@ -73,10 +73,7 @@ impl RefCache {
                 let lines_per_page = page / self.cfg.line;
                 let page_num = line_addr / lines_per_page;
                 let offset = line_addr % lines_per_page;
-                let mut z = page_num.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)).wrapping_mul(lines_per_page).wrapping_add(offset)
+                mbb_obs::splitmix64(page_num).wrapping_mul(lines_per_page).wrapping_add(offset)
             }
         };
         (index_addr % sets) as usize

@@ -16,8 +16,9 @@
 //! the simulator tick into it without a cycle.  It is also the one home of
 //! the std-only infrastructure every layer above shares: the [`json`]
 //! value, parser and writers (the service's wire format and every
-//! machine-readable report), the [`Meter`] around a measured region, and
-//! the [`chrometrace`] export of a [`Profile`].
+//! machine-readable report), the [`Meter`] around a measured region, the
+//! [`chrometrace`] export of a [`Profile`], and the SplitMix64 mixer
+//! ([`splitmix64`], [`mix64`]).
 //!
 //! ## Cost when disabled
 //!
@@ -53,8 +54,10 @@ use std::time::{Duration, Instant};
 pub mod chrometrace;
 pub mod json;
 mod meter;
+mod splitmix;
 
 pub use meter::{mev_per_sec, Measure, Meter};
+pub use splitmix::{mix64, splitmix64, GOLDEN_GAMMA};
 
 /// Fixed capacity of the per-level counter rows.  Real hierarchies in
 /// this repository have 2–3 channels; 8 leaves headroom for scaled

@@ -42,6 +42,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use mbb_core::balance::measure_program_balance;
 use mbb_core::canon;
@@ -260,7 +261,10 @@ fn fusion_moves(prog: &Program, keep: usize, trace: &mut SearchTrace) -> Vec<Vec
         legal.push((total_distinct_arrays(&graph, &p), p.groups));
     };
     if n <= ENUMERATE_NESTS {
-        for_each_partition(n, &mut consider);
+        for_each_partition(n, |groups| {
+            consider(groups);
+            ControlFlow::Continue(())
+        });
     } else {
         let mut oracles = vec![greedy_fusion(&graph), recursive_bisection_fusion(&graph)];
         if n <= 10 {
@@ -620,7 +624,10 @@ mod tests {
                 continue;
             }
             let mut lattice = Vec::new();
-            for_each_partition(n, |groups| lattice.push(groups.to_vec()));
+            for_each_partition(n, |groups| {
+                lattice.push(groups.to_vec());
+                ControlFlow::Continue(())
+            });
             let oracles = [
                 ("greedy", greedy_fusion(&graph)),
                 ("bisection", recursive_bisection_fusion(&graph)),

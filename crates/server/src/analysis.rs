@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 
 use mbb_core::advisor::{advise as core_advise, ArrayFinding};
-use mbb_core::balance::{measure_program_balance, ratios, ProgramBalance};
+use mbb_core::balance::{measure_program_balance, ratios, simulate, ProgramBalance};
 use mbb_core::fusion::EXHAUSTIVE_MAX_NESTS;
 use mbb_core::pipeline::{
     normalize, optimize as run_pipeline, verify_equivalent, FusionStrategy, OptimizeOptions,
@@ -19,6 +19,7 @@ use mbb_core::profile::{nest_table, nest_table_under, NestTable};
 use mbb_core::regroup::{regroup_all, RegroupAction};
 use mbb_core::spec::Candidate;
 use mbb_ir::budget::Budget;
+use mbb_ir::interp::{Interpreter, LayoutOpts};
 use mbb_ir::{parse, pretty, Program};
 use mbb_memsim::machine::MachineModel;
 use mbb_memsim::timing::{predict, Bottleneck, Prediction};
@@ -244,27 +245,32 @@ fn measured(p: &Program, opts: &Options) -> Result<(Prediction, ProgramBalance),
 }
 
 /// Runs the analysis a request kind names: the one place a kind picks
-/// its analysis, for `mbbc` and `mbbc serve` alike.  Returns the
-/// [`Analysis`], plus the optimised source for the two optimize kinds.
-/// A kind that analyses no program is a bad request.
+/// its analysis, for `mbbc` and `mbbc serve` alike.  The two optimize
+/// kinds carry the optimised source as `data.optimized_program`.  A kind
+/// that analyses no program is a bad request.
 pub fn run(
     kind: Kind,
     p: &Program,
     opts: &Options,
     sp: &SearchParams,
-) -> Result<(Analysis, Option<String>), ServeError> {
-    let with_source = |(a, src): (Analysis, String)| (a, Some(src));
-    Ok(match kind {
-        Kind::Report => (report(p, opts)?, None),
-        Kind::Advise => (advise(p, opts)?, None),
-        Kind::TraceStats => (trace_stats(p, opts)?, None),
-        Kind::Optimize => with_source(optimize(p, opts)?),
-        Kind::OptimizeSearch => with_source(optimize_search(p, opts, sp)?),
+) -> Result<Analysis, ServeError> {
+    match kind {
+        Kind::Report => report(p, opts),
+        Kind::Advise => advise(p, opts),
+        Kind::TraceStats => trace_stats(p, opts),
+        Kind::Optimize => optimized(p, opts),
+        Kind::OptimizeSearch => searched(p, opts, sp),
         other => {
             let why = format!("`{}` analyses no program", other.as_str());
-            return Err(ServeError::new(ErrorKind::BadRequest, why));
+            Err(ServeError::new(ErrorKind::BadRequest, why))
         }
-    })
+    }
+}
+
+/// An optimize analysis with its optimised source beside it.
+fn with_source(a: Analysis) -> (Analysis, String) {
+    let source = a.data.get("optimized_program").and_then(Json::as_str).map(String::from);
+    (a, source.unwrap_or_default())
 }
 
 /// The `report` analysis: §2 program balance, ratios, utilisation bound
@@ -485,13 +491,17 @@ fn exhaustive_fits(p: &Program, pipeline: &OptimizeOptions) -> Result<(), ServeE
 }
 
 /// The `optimize` analysis; returns the report and the optimised source
-/// (itself parseable) separately, so the CLI can honour `--emit`.
+/// (itself parseable), which the data also carries.
 pub fn optimize(p: &Program, opts: &Options) -> Result<(Analysis, String), ServeError> {
-    exhaustive_fits(p, &opts.pipeline)?;
-    profiled(opts.profile, || optimize_inner(p, opts), |(a, _), pr| a.profile = Some(pr))
+    optimized(p, opts).map(with_source)
 }
 
-fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), ServeError> {
+fn optimized(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
+    exhaustive_fits(p, &opts.pipeline)?;
+    profiled(opts.profile, || optimize_inner(p, opts), |a, pr| a.profile = Some(pr))
+}
+
+fn optimize_inner(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
     let v = verified(p, opts, || {
         let _s = mbb_obs::span!("pipeline");
         let outcome = run_pipeline(p, opts.pipeline);
@@ -549,7 +559,6 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
     );
     let _ = writeln!(out, "  equivalence:      verified (interpreted both versions)");
 
-    let optimized = pretty::program(&program);
     let fusion = match &outcome.partitioning {
         Some(part) => Json::obj([
             ("nests_before", Json::UInt(p.nests.len() as u64)),
@@ -606,9 +615,9 @@ fn optimize_inner(p: &Program, opts: &Options) -> Result<(Analysis, String), Ser
             ]),
         ),
         ("speedup", Json::num(speedup(before_t.time_s, after_t.time_s))),
-        ("optimized_program", Json::str(optimized.clone())),
+        ("optimized_program", Json::str(pretty::program(&program))),
     ]);
-    Ok((Analysis::new(out, data), optimized))
+    Ok(Analysis::new(out, data))
 }
 
 /// How an `optimize --search` run explores (see [`mbb_search::engine`]).
@@ -644,15 +653,19 @@ pub fn optimize_search(
     opts: &Options,
     sp: &SearchParams,
 ) -> Result<(Analysis, String), ServeError> {
+    searched(p, opts, sp).map(with_source)
+}
+
+fn searched(p: &Program, opts: &Options, sp: &SearchParams) -> Result<Analysis, ServeError> {
     exhaustive_fits(p, &opts.pipeline)?;
-    profiled(opts.profile, || optimize_search_inner(p, opts, sp), |(a, _), pr| a.profile = Some(pr))
+    profiled(opts.profile, || optimize_search_inner(p, opts, sp), |a, pr| a.profile = Some(pr))
 }
 
 fn optimize_search_inner(
     p: &Program,
     opts: &Options,
     sp: &SearchParams,
-) -> Result<(Analysis, String), ServeError> {
+) -> Result<Analysis, ServeError> {
     // The search scores through the runs engine internally (its `search`
     // and `score:<spec>` spans land in the profile); the surrounding
     // measurements and the verification honour `opts.engine`.
@@ -710,7 +723,6 @@ fn optimize_search_inner(
     );
     let _ = writeln!(text, "  equivalence:      verified (interpreted both versions)");
 
-    let optimized = pretty::program(&program);
     let data = Json::obj([
         ("program", Json::str(p.name.clone())),
         ("machine", Json::str(opts.machine.name.clone())),
@@ -752,9 +764,9 @@ fn optimize_search_inner(
             ]),
         ),
         ("speedup", Json::num(speedup(before_t.time_s, after_t.time_s))),
-        ("optimized_program", Json::str(optimized.clone())),
+        ("optimized_program", Json::str(pretty::program(&program))),
     ]);
-    Ok((Analysis::new(text, data), optimized))
+    Ok(Analysis::new(text, data))
 }
 
 /// The `optimize --pipeline SPEC` analysis: replays an explicit
@@ -802,16 +814,13 @@ pub fn trace_stats(p: &Program, opts: &Options) -> Result<Analysis, ServeError> 
 fn trace_stats_inner(p: &Program, opts: &Options) -> Result<Analysis, ServeError> {
     let _budget = opts.budget.install();
     let _engine = mbb_ir::runs::install(opts.engine);
-    let mut h = opts.machine.hierarchy();
-    let r = {
+    // The counters and traffic are a value run's; `trace_only` skips the
+    // values, which nothing here reads.
+    let (r, traffic) = simulate(&opts.machine, |h| {
         let _s = mbb_obs::span!("interp");
-        mbb_ir::interp::run_traced(p, &mut h).map_err(run_error)?
-    };
-    {
-        let _s = mbb_obs::span!("flush");
-        h.flush();
-    }
-    let traffic = h.report();
+        Interpreter::trace_only(p, LayoutOpts::default()).run(h)
+    })
+    .map_err(run_error)?;
     let names = channel_names(traffic.channel_bytes.len());
 
     let mut out = String::new();
@@ -944,10 +953,14 @@ mod tests {
         let (opts, sp) = (Options::default(), SearchParams::default());
         for kind in Kind::ALL {
             match run(kind, &p, &opts, &sp) {
-                Ok((a, source)) => {
+                Ok(a) => {
                     assert!(kind.takes_program(), "{}", kind.as_str());
                     let optimizes = matches!(kind, Kind::Optimize | Kind::OptimizeSearch);
+                    let source = a.data.get("optimized_program").and_then(Json::as_str);
                     assert_eq!(source.is_some(), optimizes, "{}", kind.as_str());
+                    if let Some(source) = source {
+                        assert!(load(source).is_ok(), "{}: {source}", kind.as_str());
+                    }
                     assert!(a.text.contains(&p.name), "{}: {}", kind.as_str(), a.text);
                 }
                 Err(e) => {
@@ -1018,6 +1031,26 @@ mod tests {
         let seven = &cases[1].0;
         assert!(optimize(seven, &exhaustive(false)).is_ok());
         assert!(optimize(&cases[0].0, &Options::default()).is_ok());
+    }
+
+    #[test]
+    fn a_deadline_stops_the_exhaustive_walk() {
+        // Bell(12) partitions take seconds to walk; a 50 ms deadline must
+        // stop the walk, not wait for it.
+        let opts = Options {
+            pipeline: OptimizeOptions {
+                fusion: FusionStrategy::Exhaustive,
+                ..OptimizeOptions::default()
+            },
+            budget: Budget { max_steps: None, wall: Some(std::time::Duration::from_millis(50)) },
+            ..Options::default()
+        };
+        let p = independent_nests(EXHAUSTIVE_MAX_NESTS, false);
+        let start = std::time::Instant::now();
+        let e = optimize(&p, &opts).unwrap_err();
+        let took = start.elapsed();
+        assert_eq!(e.kind, ErrorKind::DeadlineExceeded, "{e}");
+        assert!(took < std::time::Duration::from_secs(1), "the request took {took:?}");
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use mbb_core::canon::splitmix64;
 use mbb_obs::json::Json;
+use mbb_obs::splitmix64;
 
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::{self, Site};

@@ -159,7 +159,7 @@ pub fn fire(site: Site) -> bool {
         return false;
     }
     let draw = a.draws[site.index()].fetch_add(1, Ordering::Relaxed);
-    let r = mbb_core::canon::splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
+    let r = mbb_obs::splitmix64(a.plan.seed ^ ((site.index() as u64) << 56) ^ draw);
     let hit = (r % 1024) < rate as u64;
     if hit {
         a.fired[site.index()].fetch_add(1, Ordering::Relaxed);

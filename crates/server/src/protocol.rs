@@ -353,9 +353,14 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     Ok(Request { kind, program, machine, flags, budget, profile, engine, id, forwarded })
 }
 
+/// The longest request line the server frames, in bytes, the newline not
+/// counted.  A longer line is answered `too-large` and closes its
+/// connection.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// What the front of a connection's read buffer holds.  Requests are
-/// newline-terminated lines of at most `max` bytes, the newline not
-/// counted.
+/// newline-terminated lines of at most `max` bytes
+/// ([`MAX_REQUEST_BYTES`] on the server), the newline not counted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Frame {
     /// A complete line: the bytes before index `.0`, which holds its

@@ -27,7 +27,8 @@
 //! when a peer is down — the ring never reshuffles at runtime, which is
 //! what keeps "who owns key `k`" a pure function of configuration.
 
-use mbb_core::canon::{fnv1a, mix64};
+use mbb_core::canon::fnv1a;
+use mbb_obs::mix64;
 
 /// A consistent-hash ring over named peers.
 #[derive(Clone, Debug)]

@@ -95,8 +95,6 @@ pub struct Config {
     /// requests and no buffered bytes is closed after this long idle) and
     /// per-response write deadline.
     pub read_timeout: Duration,
-    /// Maximum request-line length in bytes.
-    pub max_request_bytes: usize,
     /// Exit after this long with no connections and no work (`None` =
     /// serve until a `shutdown` request).
     pub idle_timeout: Option<Duration>,
@@ -132,7 +130,6 @@ impl Default for Config {
             cache_bytes: 32 << 20,
             queue_depth: 64,
             read_timeout: Duration::from_secs(10),
-            max_request_bytes: 1 << 20,
             idle_timeout: None,
             // ~4.3G innermost iterations: far above every paper workload,
             // but a guaranteed stop for an effectively unbounded nest.
@@ -423,7 +420,7 @@ fn event_loop(listener: &TcpListener, mut poller: Poller, shared: &Shared) {
                 close_conn(&mut conns, &mut poller, tok, shared);
                 continue;
             }
-            if !read_into_buf(conn, shared.cfg.max_request_bytes) || !drain_buf(conn, shared) {
+            if !read_into_buf(conn) || !drain_buf(conn, shared) {
                 close_conn(&mut conns, &mut poller, tok, shared);
                 continue;
             }
@@ -556,10 +553,10 @@ fn close_conn(conns: &mut HashMap<u64, Conn>, poller: &mut Poller, tok: u64, sha
 /// Pulls every available byte off the socket.  Returns `false` when the
 /// connection is dead.  On EOF any complete buffered lines still run; a
 /// partial trailing line is discarded, matching the blocking framing.
-fn read_into_buf(conn: &mut Conn, max: usize) -> bool {
+fn read_into_buf(conn: &mut Conn) -> bool {
     let mut tmp = [0u8; 8192];
     loop {
-        if conn.buf.len() > max.saturating_add(1) {
+        if conn.buf.len() > protocol::MAX_REQUEST_BYTES + 1 {
             // Enough buffered to either frame requests or answer
             // too-large; stop pulling (level-triggered readiness
             // re-reports the remainder), also while earlier rounds'
@@ -604,7 +601,7 @@ fn drain_buf(conn: &mut Conn, shared: &Shared) -> bool {
         if conn.shared.closed.load(Ordering::Relaxed) {
             return false;
         }
-        let nl = match protocol::frame(&conn.buf, shared.cfg.max_request_bytes) {
+        let nl = match protocol::frame(&conn.buf, protocol::MAX_REQUEST_BYTES) {
             Frame::Line(nl) => nl,
             Frame::Incomplete => return true, // need more bytes
             Frame::TooLarge => {
@@ -637,7 +634,7 @@ fn drain_buf(conn: &mut Conn, shared: &Shared) -> bool {
 fn answer_too_large(conn: &Conn, shared: &Shared) {
     let e = ServeError::new(
         ErrorKind::TooLarge,
-        format!("request exceeds {} bytes", shared.cfg.max_request_bytes),
+        format!("request exceeds {} bytes", protocol::MAX_REQUEST_BYTES),
     );
     shared.metrics.count_error(e.kind);
     let mut resp = protocol::error_response(&e);
@@ -1055,7 +1052,7 @@ fn respond(
             Some(p) => p,
             None => analysis::load(src)?,
         };
-        Ok(analysis::run(kind, &prog, &opts, &sp)?.0)
+        analysis::run(kind, &prog, &opts, &sp)
     };
     if !actions.is_empty() {
         for &a in &actions {

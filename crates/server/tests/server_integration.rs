@@ -11,7 +11,7 @@ use std::time::Duration;
 use mbb_obs::json::Json;
 use mbb_server::analysis;
 use mbb_server::client::{expect_ok, Client};
-use mbb_server::protocol::Kind;
+use mbb_server::protocol::{Kind, MAX_REQUEST_BYTES};
 use mbb_server::server::{spawn, Config};
 
 const SUM: &str = "program sum\narray a[512]\nscalar s = 0  // printed\nfor i = 0, 511\n  s = (s + a[i])\nend for\n";
@@ -32,7 +32,7 @@ fn serial(kind: &str, program: &str, machine: &str) -> Json {
     };
     let p = analysis::load(program).unwrap();
     let kind = Kind::lookup(kind).unwrap_or_else(|| panic!("unknown kind {kind}"));
-    let (a, _) = analysis::run(kind, &p, &opts, &analysis::SearchParams::default()).unwrap();
+    let a = analysis::run(kind, &p, &opts, &analysis::SearchParams::default()).unwrap();
     Json::obj([("text", Json::str(a.text)), ("data", a.data)])
 }
 
@@ -296,6 +296,32 @@ fn shutdown_request_drains_and_serve_returns() {
         }
     };
     assert!(refused, "server socket still serving after drain");
+}
+
+/// A line past the request bound cannot be framed, so the server answers
+/// it `too-large`, counts the error and closes the connection.
+#[test]
+fn an_over_long_line_is_answered_too_large_and_closes_the_connection() {
+    let (addr, handle, thread) =
+        spawn(Config { workers: 1, ..Config::default() }).expect("server came up");
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // Two bytes past the bound, with no newline: the server reads every
+    // byte before it frames, so it closes with nothing left unread.
+    s.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 2]).unwrap();
+    let mut reader = BufReader::new(s);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp = Json::parse(line.trim_end()).unwrap();
+    let code = resp.get("error").and_then(|e| e.get("code")).and_then(Json::as_str);
+    assert_eq!(code, Some("too-large"), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "the connection stays open: {line}");
+    let text = connect(addr).metrics_text().unwrap();
+    let counted = "mbb_serve_errors_total{code=\"too-large\"} 1\n";
+    assert!(text.contains(counted), "missing {counted:?} in:\n{text}");
+    handle.shutdown();
+    thread.join().unwrap();
 }
 
 #[test]

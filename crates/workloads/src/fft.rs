@@ -1,133 +1,100 @@
-//! Radix-2 Cooley–Tukey FFT as a traced native kernel.
+//! Radix-2 Cooley–Tukey FFT as an address-only native kernel.
 //!
 //! The FFT's bit-reversal permutation and power-of-two strides are not
-//! affine, so this workload lives outside the loop IR: it is ordinary Rust
-//! over [`TracedArray`]s, emitting the same byte-accurate access stream the
-//! interpreter would, plus an exact flop count.  This is the `FFT` row of
-//! Figure 1.
+//! affine, so this workload lives outside the loop IR.  Its balance is a
+//! function of event counts alone, so, like STREAM, it moves no values:
+//! [`emit`] streams the byte-accurate access sequence of an in-place
+//! transform over [`Arena`] addresses and returns the exact flop count.
+//! This is the `FFT` row of Figure 1.
 
 use mbb_ir::runs::emit_runs;
-use mbb_ir::trace::{AccessKind, AccessSink};
-use mbb_memsim::arena::{Arena, TracedArray};
+use mbb_ir::trace::{Access, AccessKind, AccessSink, RunRef};
+use mbb_memsim::arena::Arena;
 
-/// Result of one traced FFT run.
-#[derive(Clone, Debug)]
-pub struct FftRun {
-    /// Flops executed (real additions + multiplications).
-    pub flops: u64,
-    /// Final spectrum (interleaved re/im), for correctness checks.
-    pub re: Vec<f64>,
-    /// Imaginary parts.
-    pub im: Vec<f64>,
+/// One step of the transform over complex points, in execution order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// The bit-reversal swap of points `i` and `j`.
+    Swap(usize, usize),
+    /// `half` butterflies: point `base + k` pairs with `base + half + k`
+    /// under twiddle `e^{-iπk/half}`, stacked at entry `half + k`.
+    Block { base: usize, half: usize },
 }
 
-/// In-place iterative radix-2 DIT FFT over `n = 2^k` points, streaming
-/// every array access into `sink`.
+/// The steps of an iterative radix-2 DIT FFT over `n = 2^k` points: the
+/// bit-reversal swaps, then each stage's butterfly blocks.
+fn steps(n: usize) -> impl Iterator<Item = Step> {
+    let bits = n.trailing_zeros();
+    let swaps = (0..n).filter_map(move |i| {
+        let j = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
+        (j > i).then_some(Step::Swap(i, j))
+    });
+    let blocks = (0..bits).flat_map(move |stage| {
+        let half = 1usize << stage;
+        (0..n).step_by(2 * half).map(move |base| Step::Block { base, half })
+    });
+    swaps.chain(blocks)
+}
+
+/// Streams into `sink` every array access of an in-place iterative
+/// radix-2 DIT FFT over `n = 2^k` points, and returns its flops (real
+/// additions and multiplications).
 ///
-/// Twiddle factors are precomputed into traced tables (as a library
-/// implementation would), so they participate in the traffic measurement.
+/// The data is interleaved complex (`d[2k]` = re, `d[2k+1]` = im), as
+/// real FFT libraries store it — separate re/im planes at power-of-two
+/// distances would conflict in the cache.  The twiddles are precomputed
+/// into a table (as a library implementation would), so they take part
+/// in the traffic: stacked per stage and interleaved, the stage with
+/// half-length `h` reads entries `h..2h` sequentially (the layout
+/// production FFTs use; a strided walk of one big table would thrash).
 ///
 /// # Panics
 /// Panics unless `n` is a power of two ≥ 2.
-pub fn fft_traced(n: usize, sink: &mut (impl AccessSink + ?Sized)) -> FftRun {
+pub fn emit(n: usize, sink: &mut (impl AccessSink + ?Sized)) -> u64 {
     assert!(n.is_power_of_two() && n >= 2, "n must be a power of two ≥ 2");
     let mut arena = Arena::new();
-    // Interleaved complex data (`d[2k]` = re, `d[2k+1]` = im), as real FFT
-    // libraries store it — separate re/im planes at power-of-two distances
-    // would conflict in the cache.
-    let mut d = TracedArray::from_fn(&mut arena, 2 * n, |k| {
-        if k % 2 == 0 {
-            mbb_ir::interp::input_value(mbb_ir::SourceId(100), (k / 2) as u64) - 0.5
-        } else {
-            0.0
-        }
-    });
-    // Stacked per-stage twiddles, interleaved (re, im): the stage with
-    // half-length `h` reads entries `2h..4h` sequentially (the layout
-    // production FFTs use; a strided walk of one big table would thrash).
-    let angle = |h: usize, k: usize| -2.0 * std::f64::consts::PI * k as f64 / (2 * h) as f64;
-    let tw = TracedArray::from_fn(&mut arena, 2 * n, |idx| {
-        let (pos, is_im) = (idx / 2, idx % 2 == 1);
-        if pos == 0 {
-            return if is_im { 0.0 } else { 1.0 };
-        }
-        let h = 1usize << (usize::BITS - 1 - pos.leading_zeros());
-        let a = angle(h, pos - h);
-        if is_im {
-            a.sin()
-        } else {
-            a.cos()
-        }
-    });
-
+    let (d, tw) = (arena.alloc_f64(2 * n), arena.alloc_f64(2 * n));
+    let cell = |base: u64, i: usize| base + 8 * i as u64;
+    let run = |base, i, kind| RunRef { base: cell(base, i), stride: 16, size: 8, kind };
     let mut flops = 0u64;
-
-    // Bit-reversal permutation (reads and writes traced via swaps).
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits().wrapping_shr(64 - bits) as usize;
-        if j > i {
-            let (ri, rj) = (d.get(2 * i, sink), d.get(2 * j, sink));
-            d.set(2 * i, rj, sink);
-            d.set(2 * j, ri, sink);
-            let (ii, ij) = (d.get(2 * i + 1, sink), d.get(2 * j + 1, sink));
-            d.set(2 * i + 1, ij, sink);
-            d.set(2 * j + 1, ii, sink);
-        }
-    }
-
-    // Butterfly stages.  Within one `(len, base)` block every reference
-    // advances by one complex element (two cells) per butterfly, so the
-    // ten accesses of the loop body compile to ten run descriptors; the
-    // iteration-major expansion order of `access_runs` is exactly the
-    // order the per-element loop used to emit.  The arithmetic runs on
-    // the raw cells — the trace it would have produced is the run bundle.
-    let mut len = 2usize;
-    while len <= n {
-        let halflen = len / 2;
-        let mut base = 0;
-        while base < n {
-            let (pa0, pb0) = (2 * base, 2 * (base + halflen));
-            let tw0 = 2 * halflen; // stacked layout: sequential
-            let refs = [
-                tw.run_ref(tw0, 2, AccessKind::Read),
-                tw.run_ref(tw0 + 1, 2, AccessKind::Read),
-                d.run_ref(pa0, 2, AccessKind::Read),
-                d.run_ref(pa0 + 1, 2, AccessKind::Read),
-                d.run_ref(pb0, 2, AccessKind::Read),
-                d.run_ref(pb0 + 1, 2, AccessKind::Read),
-                d.run_ref(pa0, 2, AccessKind::Write),
-                d.run_ref(pa0 + 1, 2, AccessKind::Write),
-                d.run_ref(pb0, 2, AccessKind::Write),
-                d.run_ref(pb0 + 1, 2, AccessKind::Write),
-            ];
-            emit_runs(sink, &refs, halflen as u64);
-            let twv = tw.values();
-            for k in 0..halflen {
-                let tw_idx = tw0 + 2 * k;
-                let (wr, wi) = (twv[tw_idx], twv[tw_idx + 1]);
-                let (pa, pb) = (pa0 + 2 * k, pb0 + 2 * k);
-                let dv = d.values_mut();
-                let (ar, ai) = (dv[pa], dv[pa + 1]);
-                let (br, bi) = (dv[pb], dv[pb + 1]);
-                // t = w · b  (4 mul + 2 add)
-                let tr = wr * br - wi * bi;
-                let ti = wr * bi + wi * br;
-                // a' = a + t, b' = a − t  (4 add)
-                dv[pa] = ar + tr;
-                dv[pa + 1] = ai + ti;
-                dv[pb] = ar - tr;
-                dv[pb + 1] = ai - ti;
-                flops += 10;
+    for step in steps(n) {
+        match step {
+            // Load both points, store them crossed: real parts, then
+            // imaginary parts.
+            Step::Swap(i, j) => {
+                for part in [0, 1] {
+                    let (a, b) = (cell(d, 2 * i + part), cell(d, 2 * j + part));
+                    sink.access(Access::read(a, 8));
+                    sink.access(Access::read(b, 8));
+                    sink.access(Access::write(a, 8));
+                    sink.access(Access::write(b, 8));
+                }
             }
-            base += len;
+            // Every reference of a block advances by one complex point per
+            // butterfly, so the body's ten accesses (twiddle, a and b
+            // loaded; a and b stored) are ten run descriptors.
+            Step::Block { base, half } => {
+                use AccessKind::{Read, Write};
+                let (a, b, w) = (2 * base, 2 * (base + half), 2 * half);
+                let refs = [
+                    run(tw, w, Read),
+                    run(tw, w + 1, Read),
+                    run(d, a, Read),
+                    run(d, a + 1, Read),
+                    run(d, b, Read),
+                    run(d, b + 1, Read),
+                    run(d, a, Write),
+                    run(d, a + 1, Write),
+                    run(d, b, Write),
+                    run(d, b + 1, Write),
+                ];
+                emit_runs(sink, &refs, half as u64);
+                // t = w · b (4 mul + 2 add); a ± t (4 add).
+                flops += 10 * half as u64;
+            }
         }
-        len *= 2;
     }
-
-    let re = d.values().iter().step_by(2).copied().collect();
-    let im = d.values().iter().skip(1).step_by(2).copied().collect();
-    FftRun { flops, re, im }
+    flops
 }
 
 #[cfg(test)]
@@ -153,41 +120,110 @@ mod tests {
 
     #[test]
     fn fft_matches_reference_dft() {
+        // The kernel's own steps, carried out on values.
         let n = 64;
         let input: Vec<f64> = (0..n)
             .map(|k| mbb_ir::interp::input_value(mbb_ir::SourceId(100), k as u64) - 0.5)
             .collect();
-        let run = fft_traced(n, &mut NullSink);
+        let mut d: Vec<f64> = input.iter().flat_map(|&re| [re, 0.0]).collect();
+        for step in steps(n) {
+            match step {
+                Step::Swap(i, j) => {
+                    d.swap(2 * i, 2 * j);
+                    d.swap(2 * i + 1, 2 * j + 1);
+                }
+                Step::Block { base, half } => {
+                    for k in 0..half {
+                        let angle = -std::f64::consts::PI * k as f64 / half as f64;
+                        let (wr, wi) = (angle.cos(), angle.sin());
+                        let (a, b) = (2 * (base + k), 2 * (base + half + k));
+                        let tr = wr * d[b] - wi * d[b + 1];
+                        let ti = wr * d[b + 1] + wi * d[b];
+                        let (ar, ai) = (d[a], d[a + 1]);
+                        d[a] = ar + tr;
+                        d[a + 1] = ai + ti;
+                        d[b] = ar - tr;
+                        d[b + 1] = ai - ti;
+                    }
+                }
+            }
+        }
         let (rr, ri) = dft(&input, &vec![0.0; n]);
         for k in 0..n {
-            assert!((run.re[k] - rr[k]).abs() < 1e-9, "re[{k}]");
-            assert!((run.im[k] - ri[k]).abs() < 1e-9, "im[{k}]");
+            assert!((d[2 * k] - rr[k]).abs() < 1e-9, "re[{k}]");
+            assert!((d[2 * k + 1] - ri[k]).abs() < 1e-9, "im[{k}]");
         }
     }
 
     #[test]
     fn flop_count_is_5nlogn() {
         let n = 256u64;
-        let run = fft_traced(n as usize, &mut NullSink);
-        assert_eq!(run.flops, 10 * (n / 2) * n.trailing_zeros() as u64);
+        let flops = emit(n as usize, &mut NullSink);
+        assert_eq!(flops, 10 * (n / 2) * n.trailing_zeros() as u64);
     }
 
     #[test]
     fn trace_volume_matches_butterflies() {
         let n = 128u64;
         let mut c = CountingSink::new();
-        let run = fft_traced(n as usize, &mut c);
-        // Each butterfly: 6 reads + 4 writes; plus the bit-reversal swaps.
+        emit(n as usize, &mut c);
+        // Each butterfly: 6 reads + 4 writes; each swap 4 of each.
         let butterflies = (n / 2) * n.trailing_zeros() as u64;
-        assert!(c.reads >= 6 * butterflies);
-        assert!(c.writes >= 4 * butterflies);
-        assert!(run.flops > 0);
+        let swaps = steps(n as usize).filter(|s| matches!(s, Step::Swap(..))).count() as u64;
+        assert_eq!(c.reads, 6 * butterflies + 4 * swaps);
+        assert_eq!(c.writes, 4 * butterflies + 4 * swaps);
+    }
+
+    /// Records a sink's calls as bytes: each access as `0, addr, size,
+    /// kind` and each run bundle as `1, count`, then per run `base,
+    /// stride, size, kind`.
+    #[derive(Default)]
+    struct Record(Vec<u8>);
+
+    impl Record {
+        fn words(&mut self, words: &[u64]) {
+            for w in words {
+                self.0.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+    }
+
+    fn kind_word(kind: AccessKind) -> u64 {
+        match kind {
+            AccessKind::Read => 0,
+            AccessKind::Write => 1,
+        }
+    }
+
+    impl AccessSink for Record {
+        fn access(&mut self, a: Access) {
+            self.words(&[0, a.addr, u64::from(a.size), kind_word(a.kind)]);
+        }
+
+        fn access_runs(&mut self, refs: &[RunRef], count: u64) {
+            self.words(&[1, count]);
+            for r in refs {
+                self.words(&[r.base, r.stride as u64, u64::from(r.size), kind_word(r.kind)]);
+            }
+        }
+    }
+
+    #[test]
+    fn access_stream_matches_the_recorded_digest() {
+        // Recorded from the value-carrying kernel this one replaced: the
+        // same addresses, swap accesses and run bundles, call for call.
+        let mut r = Record::default();
+        let _g = mbb_ir::runs::install(mbb_ir::Engine::Runs);
+        let flops = emit(1024, &mut r);
+        assert_eq!(flops, 51_200);
+        assert_eq!(r.0.len(), 470_704);
+        assert_eq!(mbb_core::canon::fnv1a(&r.0), 0x72cb_525c_627d_98e6);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
-        let _ = fft_traced(100, &mut NullSink);
+        emit(100, &mut NullSink);
     }
 
     #[test]
@@ -196,9 +232,9 @@ mod tests {
         let per_engine = |e| {
             let _g = mbb_ir::runs::install(e);
             let mut h = machine.hierarchy();
-            let run = fft_traced(512, &mut h);
+            let flops = emit(512, &mut h);
             h.flush();
-            (h.report(), run.flops)
+            (h.report(), flops)
         };
         assert_eq!(per_engine(mbb_ir::Engine::Runs), per_engine(mbb_ir::Engine::Scalar));
     }

@@ -1,12 +1,12 @@
 //! # mbb-workloads — the paper's kernels, applications and figure examples
 //!
-//! Everything §2 and §3 measure, as loop-IR programs (or traced native
-//! kernels where the access pattern is not affine):
+//! Everything §2 and §3 measure, as loop-IR programs (or an address-only
+//! native kernel where the access pattern is not affine):
 //!
 //! * [`kernels`] — convolution, dmxpy, matrix multiply in the `jki` order
 //!   (the paper's `-O2` shape) and blocked (`-O3`, Carr–Kennedy);
-//! * [`fft`] — a radix-2 Cooley–Tukey FFT as a traced native kernel
-//!   (bit-reversal is not affine);
+//! * [`fft`] — a radix-2 Cooley–Tukey FFT as an address-only native
+//!   kernel (bit-reversal is not affine);
 //! * [`stream_kernels`] — the Figure-3 stride-one read/write kernels
 //!   (`1w1r` … `0w3r`);
 //! * [`nas_sp`] — a scaled-down proxy of the NAS/SP scalar-pentadiagonal

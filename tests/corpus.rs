@@ -102,3 +102,65 @@ fn corpus_balance_never_regresses() {
         );
     }
 }
+
+#[test]
+fn corpus_trace_stats_equal_a_value_run() {
+    // `trace-stats` runs trace-only on the thread's spare hierarchy; its
+    // text and data must be what a value run on a fresh hierarchy counts.
+    use mbb_server::analysis::{trace_stats, Options};
+    let opts = Options::default();
+    for path in corpus_files() {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let p = mbb::ir::parse::parse(&src).unwrap();
+        let mut h = opts.machine.hierarchy();
+        let run = mbb::ir::interp::Interpreter::new(&p)
+            .run(&mut h)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        h.flush();
+        let (s, t) = (run.stats, h.report());
+
+        let mut text = format!("trace of {} on {}\n", p.name, opts.machine.name);
+        text += &format!(
+            "  accesses: {} ({} loads, {} stores) over {} iterations, {} flops\n",
+            s.loads + s.stores,
+            s.loads,
+            s.stores,
+            s.iterations,
+            s.flops
+        );
+        let names = mbb_obs::channel_names(t.channel_bytes.len());
+        for (name, bytes) in names.iter().zip(&t.channel_bytes) {
+            text += &format!("  {name:<8} {bytes:>14} bytes\n");
+        }
+        text +=
+            &format!("  memory: {} read + {} written bytes\n", t.mem_read_bytes, t.mem_write_bytes);
+        text += &format!("  tlb misses: {}\n", t.tlb_misses);
+
+        let a = trace_stats(&p, &opts).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(a.text, text, "{}", path.display());
+        let uint = |key: &str| a.data.get(key).and_then(|j| j.as_f64()).map(|x| x as u64);
+        for (key, want) in [
+            ("loads", s.loads),
+            ("stores", s.stores),
+            ("iterations", s.iterations),
+            ("flops", s.flops),
+            ("mem_read_bytes", t.mem_read_bytes),
+            ("mem_write_bytes", t.mem_write_bytes),
+            ("tlb_misses", t.tlb_misses),
+        ] {
+            assert_eq!(uint(key), Some(want), "{}: {key}", path.display());
+        }
+        let listed = |key: &str, field: Option<&str>| -> Vec<u64> {
+            let Some(mbb_obs::json::Json::Arr(items)) = a.data.get(key) else {
+                panic!("{}: {key} is not a list", path.display());
+            };
+            let item = |j: &mbb_obs::json::Json| match field {
+                Some(f) => j.get(f).and_then(|v| v.as_f64()),
+                None => j.as_f64(),
+            };
+            items.iter().map(|j| item(j).unwrap() as u64).collect()
+        };
+        assert_eq!(listed("channels", Some("bytes")), t.channel_bytes, "{}", path.display());
+        assert_eq!(listed("level_misses", None), t.misses(), "{}", path.display());
+    }
+}

@@ -75,10 +75,10 @@ fn pretty_printer_round_trips_every_workload_without_panic() {
 
 #[test]
 fn traced_fft_agrees_with_interpreted_workloads_on_trace_format() {
-    // The native FFT and the interpreter must speak the same trace dialect:
-    // 8-byte accesses at 8-byte-aligned addresses.
+    // The address-only FFT and the interpreter must speak the same trace
+    // dialect: 8-byte accesses at 8-byte-aligned addresses.
     let mut sink = mbb::ir::trace::VecSink::new();
-    let _ = mbb::workloads::fft::fft_traced(64, &mut sink);
+    mbb::workloads::fft::emit(64, &mut sink);
     assert!(!sink.events.is_empty());
     for e in &sink.events {
         assert_eq!(e.size, 8);
